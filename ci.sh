@@ -96,7 +96,9 @@ stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # validates the emitted lph-trace/1 document, and greps the user-facing
 # docs for references to registry dependencies the hermetic workspace no
 # longer has (they were replaced by the seeded-XorShift suites and the
-# lph-bench shim; naming them in README/EXPERIMENTS is a doc rot bug).
+# lph-bench shim) and to deleted APIs and trace names (the par_find_first
+# and par_reduce entry points, EvalBackend, the DPLL solver, the pool's
+# queue counters); naming any of them in the docs is a doc rot bug.
 stage_trace_smoke() {
   local out="$PWD/trace_smoke.json"
   rm -f "$out"
@@ -104,12 +106,13 @@ stage_trace_smoke() {
   cargo run --release --bin bench-gate -- --validate-trace "$out"
   rm -f "$out"
   local banned
-  if banned=$(grep -inE 'criterion|proptest' README.md EXPERIMENTS.md PROTOCOL.md); then
-    echo "trace-smoke: stale toolchain references in the docs:" >&2
+  if banned=$(grep -inE 'criterion|proptest|par_find_first|par_reduce|EvalBackend|dpll_sat|queue_depth|pool/waits' \
+    README.md EXPERIMENTS.md PROTOCOL.md DESIGN.md); then
+    echo "trace-smoke: stale references in the docs:" >&2
     echo "$banned" >&2
     return 1
   fi
-  echo "trace-smoke: docs are free of stale toolchain references"
+  echo "trace-smoke: docs are free of stale references"
 }
 
 # Runs every bench with a tiny sample count purely to prove the harness

@@ -1,13 +1,13 @@
 //! E15 — the CDCL certificate engine: game families at sizes the
 //! exhaustive enumerator's move-space guard forbids outright (`n ≥ 50`,
 //! move spaces of 7⁶⁰ and beyond), plus the named-CNF `SAT-GRAPH` solver
-//! bridge measured against the DPLL ground truth on identical instances.
+//! bridge on random 3-CNFs.
 
 use lph_bench::with_ids;
 use lph_bench::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lph_core::{arbiters, decide_game_backend, GameBackend, GameLimits};
 use lph_graphs::generators::{self, XorShift};
-use lph_props::{cdcl_sat, dpll_sat, Cnf, Lit};
+use lph_props::{cdcl_sat, Cnf, Lit};
 use lph_sat::{check_refutation, SolveOutcome, Solver, SolverConfig};
 
 fn bench_cdcl_games(c: &mut Criterion) {
@@ -135,13 +135,9 @@ fn bench_sat_graph_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("sat_solvers");
     group.sample_size(10);
 
-    // The same named-CNF instance through both engines: DPLL is the
-    // ground truth, the CDCL bridge is the scaling path.
+    // Named-CNF instances through the CDCL bridge `SAT-GRAPH` decides with.
     for n in [20usize, 40] {
         let cnf = random_three_cnf(n, 0xA5A5);
-        group.bench_with_input(BenchmarkId::new("dpll_3cnf", n), &cnf, |b, cnf| {
-            b.iter(|| black_box(dpll_sat(cnf)));
-        });
         group.bench_with_input(BenchmarkId::new("cdcl_3cnf", n), &cnf, |b, cnf| {
             b.iter(|| black_box(cdcl_sat(cnf)));
         });

@@ -198,9 +198,9 @@ fn encode_node(
     }
     // Certificate region: cells base..base+b hold 0/1/□ with blanks only at
     // the end; everything after is blank. Dedicated *choice variables*
-    // (named to sort before every tableau variable) mirror each cell, so a
-    // DPLL solver branches on the certificate and derives the whole
-    // deterministic run by unit propagation.
+    // (named to sort before every tableau variable) mirror each cell: once
+    // the certificate is fixed, unit propagation derives the whole
+    // deterministic run.
     let cert_blank = |j: usize| e.tp(0, base + j, Sym::Blank);
     for j in 0..b {
         cs.push(BoolExpr::Or(vec![

@@ -46,6 +46,6 @@ mod sentence;
 mod var;
 
 pub use formula::Formula;
-pub use plan::{CompiledSentence, EvalBackend, PlanOp};
+pub use plan::{CompiledSentence, PlanOp};
 pub use sentence::{Level, Matrix, Quantifier, Sentence, SoBlock, SoQuant, Support};
 pub use var::{Assignment, FoVar, Relation, SoVar, VarPool};

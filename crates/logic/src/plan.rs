@@ -46,83 +46,6 @@ use crate::sentence::{Matrix, Quantifier, Sentence, SoQuant, Support};
 use crate::var::{FoVar, Relation, SoVar};
 use crate::Formula;
 
-/// Which engine checks a sentence.
-///
-/// Mirrors `GameBackend` in `lph-core`: [`crate::Sentence::check`] is the
-/// semantics (and the differential oracle), [`CompiledSentence`] is the
-/// fast path, and `Auto` routes on a deterministic, structure-independent
-/// size heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalBackend {
-    /// The recursive interpreter of [`crate::Sentence::check`].
-    Interpreted,
-    /// The plan compiler of [`CompiledSentence`] (compiles on entry; use
-    /// [`CompiledSentence`] directly to amortize compilation over many
-    /// checks).
-    Compiled,
-    /// Compile when the matrix is large enough to repay lowering,
-    /// interpret otherwise. The decision depends only on the sentence
-    /// (never on the structure, thread count, or environment), so routing
-    /// is deterministic; [`EvalBackend::resolve`] exposes it.
-    #[default]
-    Auto,
-}
-
-/// Matrices at least this many AST nodes large are compiled under
-/// [`EvalBackend::Auto`].
-const AUTO_COMPILE_MIN_NODES: usize = 8;
-
-impl EvalBackend {
-    /// The concrete engine `Auto` routes this sentence to (identity on the
-    /// other two variants). Never returns `Auto`.
-    pub fn resolve(self, sentence: &Sentence) -> EvalBackend {
-        match self {
-            EvalBackend::Auto => {
-                if sentence.matrix.body().node_count() >= AUTO_COMPILE_MIN_NODES {
-                    EvalBackend::Compiled
-                } else {
-                    EvalBackend::Interpreted
-                }
-            }
-            other => other,
-        }
-    }
-}
-
-impl Sentence {
-    /// [`Sentence::check`] through the chosen [`EvalBackend`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Sentence::check`].
-    pub fn check_backend(
-        &self,
-        s: &Structure,
-        nodes: Option<&[ElemId]>,
-        opts: &CheckOptions,
-        backend: EvalBackend,
-    ) -> Result<bool, CheckError> {
-        match backend.resolve(self) {
-            EvalBackend::Interpreted => self.check(s, nodes, opts),
-            _ => CompiledSentence::compile(self).check(s, nodes, opts),
-        }
-    }
-
-    /// [`Sentence::check_on_graph`] through the chosen [`EvalBackend`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Sentence::check_on_graph`].
-    pub fn check_on_graph_backend(
-        &self,
-        gs: &GraphStructure,
-        opts: &CheckOptions,
-        backend: EvalBackend,
-    ) -> Result<bool, CheckError> {
-        self.check_backend(gs.structure(), Some(gs.node_elems()), opts, backend)
-    }
-}
-
 /// One lowered plan node. Children are arena indices; variables are dense
 /// slot indices assigned at compile time.
 ///
@@ -1038,36 +961,6 @@ mod tests {
             for g in [generators::path(2), generators::star(3)] {
                 assert_same(&phi, &GraphStructure::of(&g), &CheckOptions::default());
             }
-        }
-    }
-
-    #[test]
-    fn auto_routing_is_deterministic_and_size_based() {
-        let x = FoVar(0);
-        let small = Sentence::lfo(x, unary(0, x));
-        let big = examples::three_colorable();
-        assert_eq!(EvalBackend::Auto.resolve(&small), EvalBackend::Interpreted);
-        assert_eq!(EvalBackend::Auto.resolve(&big), EvalBackend::Compiled);
-        assert_eq!(
-            EvalBackend::Interpreted.resolve(&big),
-            EvalBackend::Interpreted
-        );
-        assert_eq!(EvalBackend::Compiled.resolve(&small), EvalBackend::Compiled);
-    }
-
-    #[test]
-    fn backend_entry_points_agree() {
-        let phi = examples::three_colorable();
-        let g = generators::cycle(4);
-        let gs = GraphStructure::of(&g);
-        let opts = CheckOptions::default();
-        let want = phi.check_on_graph(&gs, &opts);
-        for backend in [
-            EvalBackend::Interpreted,
-            EvalBackend::Compiled,
-            EvalBackend::Auto,
-        ] {
-            assert_eq!(phi.check_on_graph_backend(&gs, &opts, backend), want);
         }
     }
 }

@@ -10,8 +10,8 @@ use lph_graphs::GraphStructure;
 use lph_logic::check::{CheckError, CheckOptions};
 use lph_logic::dsl::*;
 use lph_logic::{
-    examples, CompiledSentence, EvalBackend, FoVar, Formula, Matrix, Quantifier, Sentence, SoBlock,
-    SoQuant, SoVar,
+    examples, CompiledSentence, FoVar, Formula, Matrix, Quantifier, Sentence, SoBlock, SoQuant,
+    SoVar,
 };
 
 fn probe_family() -> Vec<GraphStructure> {
@@ -203,24 +203,5 @@ fn seeded_random_sentences_agree() {
         for o in &opts {
             assert_equivalent(&phi, &compiled, o);
         }
-    }
-}
-
-#[test]
-fn auto_routing_is_deterministic() {
-    // `Auto` must resolve identically across repeated calls — it depends
-    // only on the sentence, so this holds regardless of thread settings
-    // (the LPH_THREADS=1 variant is pinned in tests/backend_equivalence.rs
-    // at the workspace root, where the runtime crate is in scope).
-    for phi in [
-        examples::all_selected(),
-        examples::three_colorable(),
-        examples::not_all_selected(),
-    ] {
-        let first = EvalBackend::Auto.resolve(&phi);
-        for _ in 0..10 {
-            assert_eq!(EvalBackend::Auto.resolve(&phi), first);
-        }
-        assert_ne!(first, EvalBackend::Auto, "resolve must pick an engine");
     }
 }

@@ -565,7 +565,7 @@ pub fn expr_is_three_cnf(e: &BoolExpr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sat::dpll_sat;
+    use crate::sat::cdcl_sat;
 
     #[test]
     fn parse_round_trip() {
@@ -654,7 +654,7 @@ mod tests {
                 })
             };
             let cnf = e.tseytin("aux.");
-            assert_eq!(dpll_sat(&cnf), brute, "formula {src}");
+            assert_eq!(cdcl_sat(&cnf), brute, "formula {src}");
         }
     }
 
@@ -685,13 +685,13 @@ mod tests {
         };
         let three = cnf.to_three_cnf("aux.");
         assert!(three.is_three_cnf());
-        assert!(dpll_sat(&three));
+        assert!(cdcl_sat(&three));
         // Force all literals false via units: unsat either way.
         let mut clauses = three.clauses.clone();
         for i in 0..7 {
             clauses.push(vec![Lit::neg(format!("p{i}"))]);
         }
-        assert!(!dpll_sat(&Cnf { clauses }));
+        assert!(!cdcl_sat(&Cnf { clauses }));
     }
 
     #[test]

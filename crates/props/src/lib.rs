@@ -10,8 +10,8 @@
 //!   with implementations for `ALL-SELECTED`, `NOT-ALL-SELECTED`,
 //!   `k-COLORABLE`, `EULERIAN`, `HAMILTONIAN`, `TREE`, and `SAT-GRAPH`.
 //! * [`BoolExpr`] / [`Cnf`] — Boolean formulas with a text codec (so they
-//!   can live in node labels), the Tseytin transformation, and a DPLL
-//!   satisfiability solver.
+//!   can live in node labels), the Tseytin transformation, and
+//!   satisfiability through the `lph-sat` CDCL engine.
 //! * [`BooleanGraph`] — graphs whose nodes are labeled with Boolean
 //!   formulas, and the consistency-constrained satisfiability notion of
 //!   `SAT-GRAPH` (adjacent nodes must agree on shared variables).
@@ -50,5 +50,5 @@ pub use property::{
     AllSelected, Eulerian, GraphProperty, Hamiltonian, KColorable, NotAllSelected,
     PropertyComplement, SatGraph, ThreeSatGraph, Tree,
 };
-pub use sat::{cdcl_sat, cdcl_sat_with_model, dpll_sat, dpll_sat_with_model};
+pub use sat::{cdcl_sat, cdcl_sat_with_model};
 pub use satgraph::{sat_graph_satisfiable, BooleanGraph};

@@ -1,29 +1,17 @@
-//! A DPLL satisfiability solver over named-variable CNFs — the ground
-//! truth behind `SAT` / `SAT-GRAPH` (Theorems 18 and 19) — plus a bridge
-//! to the `lph-sat` CDCL engine for instances DPLL cannot touch.
+//! Satisfiability of named-variable CNFs — the ground truth behind `SAT` /
+//! `SAT-GRAPH` (Theorems 18 and 19) — decided by the `lph-sat` CDCL engine.
 //!
-//! The solver uses occurrence lists and a unit-propagation worklist, so
-//! propagation touches only clauses containing newly assigned variables —
-//! this keeps the (large but propagation-dominated) Cook–Levin tableaux of
-//! `lph-fagin` tractable. Branching follows variable-name order, which the
-//! tableau encoder exploits by naming its nondeterministic choice
-//! variables to sort first.
+//! Variable names are interned to dense indices in name order, the clauses
+//! are shipped verbatim, and the model is translated back. Brute-force
+//! enumeration stays the test oracle.
 
 use std::collections::BTreeMap;
 
 use crate::boolean::Cnf;
 
-/// Decides satisfiability of a CNF.
-pub fn dpll_sat(cnf: &Cnf) -> bool {
-    dpll_sat_with_model(cnf).is_some()
-}
-
-/// Decides satisfiability with the `lph-sat` CDCL solver instead of DPLL:
-/// names are interned to dense indices, the clauses shipped verbatim, and
-/// the model translated back. Agrees with [`dpll_sat_with_model`] on
-/// satisfiability everywhere (the models themselves may differ); prefer it
-/// for conflict-heavy instances where chronological backtracking blows up.
-/// Variables not occurring in any clause are reported as `false`.
+/// Decides satisfiability and returns a satisfying model (as a map from
+/// variable name to value) if one exists. Variables not occurring in any
+/// clause are reported as `false`.
 pub fn cdcl_sat_with_model(cnf: &Cnf) -> Option<BTreeMap<String, bool>> {
     let names: Vec<String> = cnf.variables().into_iter().collect();
     let index: BTreeMap<&str, usize> = names
@@ -52,147 +40,6 @@ pub fn cdcl_sat(cnf: &Cnf) -> bool {
     cdcl_sat_with_model(cnf).is_some()
 }
 
-/// Decides satisfiability and returns a satisfying model (as a map from
-/// variable name to value) if one exists. Variables not constrained by the
-/// search are reported as `false`.
-pub fn dpll_sat_with_model(cnf: &Cnf) -> Option<BTreeMap<String, bool>> {
-    if cnf.clauses.iter().any(Vec::is_empty) {
-        return None;
-    }
-    let names: Vec<String> = cnf.variables().into_iter().collect();
-    let index: BTreeMap<&str, usize> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
-    let clauses: Vec<Vec<(usize, bool)>> = cnf
-        .clauses
-        .iter()
-        .map(|c| {
-            c.iter()
-                .map(|l| (index[l.var.as_str()], l.positive))
-                .collect()
-        })
-        .collect();
-    let mut occurs: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-    for (ci, clause) in clauses.iter().enumerate() {
-        for &(v, _) in clause {
-            occurs[v].push(ci);
-        }
-    }
-    let mut solver = Solver {
-        clauses,
-        occurs,
-        assignment: vec![None; names.len()],
-        trail: Vec::new(),
-    };
-    // Top-level unit clauses seed the propagation.
-    let mut seeds = Vec::new();
-    for clause in &solver.clauses {
-        if clause.len() == 1 {
-            seeds.push(clause[0]);
-        }
-    }
-    for (v, val) in seeds {
-        if !solver.assign_and_propagate(v, val) {
-            return None;
-        }
-    }
-    if solver.search(0) {
-        Some(
-            names
-                .into_iter()
-                .enumerate()
-                .map(|(i, n)| (n, solver.assignment[i].unwrap_or(false)))
-                .collect(),
-        )
-    } else {
-        None
-    }
-}
-
-struct Solver {
-    clauses: Vec<Vec<(usize, bool)>>,
-    occurs: Vec<Vec<usize>>,
-    assignment: Vec<Option<bool>>,
-    trail: Vec<usize>,
-}
-
-impl Solver {
-    /// Assigns `v := val` and runs unit propagation through the occurrence
-    /// lists. Returns `false` on conflict, leaving all consequences on the
-    /// trail for the caller to undo.
-    fn assign_and_propagate(&mut self, v: usize, val: bool) -> bool {
-        if let Some(existing) = self.assignment[v] {
-            return existing == val;
-        }
-        self.assignment[v] = Some(val);
-        self.trail.push(v);
-        let mut queue = vec![v];
-        while let Some(v) = queue.pop() {
-            for ci in 0..self.occurs[v].len() {
-                let clause_idx = self.occurs[v][ci];
-                let mut satisfied = false;
-                let mut unassigned: Option<(usize, bool)> = None;
-                let mut unassigned_count = 0;
-                for &(w, pos) in &self.clauses[clause_idx] {
-                    match self.assignment[w] {
-                        Some(b) if b == pos => {
-                            satisfied = true;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => {
-                            unassigned = Some((w, pos));
-                            unassigned_count += 1;
-                        }
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                match unassigned_count {
-                    0 => return false,
-                    1 => {
-                        let (w, pos) = unassigned.expect("counted");
-                        self.assignment[w] = Some(pos);
-                        self.trail.push(w);
-                        queue.push(w);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        true
-    }
-
-    fn undo_to(&mut self, mark: usize) {
-        while self.trail.len() > mark {
-            let v = self.trail.pop().expect("trail nonempty");
-            self.assignment[v] = None;
-        }
-    }
-
-    /// Branches on unassigned variables in index (i.e. name) order.
-    fn search(&mut self, from: usize) -> bool {
-        let mut v = from;
-        while v < self.assignment.len() && self.assignment[v].is_some() {
-            v += 1;
-        }
-        if v == self.assignment.len() {
-            return true;
-        }
-        for val in [true, false] {
-            let mark = self.trail.len();
-            if self.assign_and_propagate(v, val) && self.search(v + 1) {
-                return true;
-            }
-            self.undo_to(mark);
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,14 +61,14 @@ mod tests {
 
     #[test]
     fn trivial_cases() {
-        assert!(dpll_sat(&Cnf { clauses: vec![] }));
-        assert!(!dpll_sat(&Cnf {
+        assert!(cdcl_sat(&Cnf { clauses: vec![] }));
+        assert!(!cdcl_sat(&Cnf {
             clauses: vec![vec![]]
         }));
-        assert!(dpll_sat(&Cnf {
+        assert!(cdcl_sat(&Cnf {
             clauses: vec![vec![Lit::pos("a")]]
         }));
-        assert!(!dpll_sat(&Cnf {
+        assert!(!cdcl_sat(&Cnf {
             clauses: vec![vec![Lit::pos("a")], vec![Lit::neg("a")]]
         }));
     }
@@ -230,7 +77,7 @@ mod tests {
     fn model_satisfies_the_cnf() {
         let e = BoolExpr::parse("&(|(vp,vq),|(!vp,vr),|(!vq,!vr))").unwrap();
         let cnf = e.to_cnf_by_distribution();
-        let model = dpll_sat_with_model(&cnf).expect("satisfiable");
+        let model = cdcl_sat_with_model(&cnf).expect("satisfiable");
         let ok = cnf.clauses.iter().all(|c| {
             c.iter()
                 .any(|l| model.get(&l.var).copied().unwrap_or(false) == l.positive)
@@ -257,7 +104,7 @@ mod tests {
                 .collect();
             let cnf = Cnf { clauses };
             assert_eq!(
-                dpll_sat(&cnf),
+                cdcl_sat(&cnf),
                 brute_force_sat(&cnf),
                 "round {round}: {cnf:?}"
             );
@@ -265,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn cdcl_bridge_agrees_with_dpll_on_random_cnfs() {
+    fn models_agree_with_brute_force_on_random_cnfs() {
         let mut rng = XorShift::new(7);
         for round in 0..200 {
             let nvars = 1 + rng.below(6);
@@ -282,17 +129,23 @@ mod tests {
                 })
                 .collect();
             let cnf = Cnf { clauses };
-            let dpll = dpll_sat(&cnf);
+            let brute = brute_force_sat(&cnf);
             match cdcl_sat_with_model(&cnf) {
                 Some(model) => {
-                    assert!(dpll, "round {round}: CDCL SAT but DPLL UNSAT: {cnf:?}");
+                    assert!(
+                        brute,
+                        "round {round}: CDCL SAT but brute force UNSAT: {cnf:?}"
+                    );
                     let ok = cnf.clauses.iter().all(|c| {
                         c.iter()
                             .any(|l| model.get(&l.var).copied().unwrap_or(false) == l.positive)
                     });
                     assert!(ok, "round {round}: CDCL model violates a clause: {cnf:?}");
                 }
-                None => assert!(!dpll, "round {round}: CDCL UNSAT but DPLL SAT: {cnf:?}"),
+                None => assert!(
+                    !brute,
+                    "round {round}: CDCL UNSAT but brute force SAT: {cnf:?}"
+                ),
             }
         }
     }
@@ -317,7 +170,7 @@ mod tests {
                 }
             }
         }
-        assert!(!dpll_sat(&Cnf { clauses }));
+        assert!(!cdcl_sat(&Cnf { clauses }));
     }
 
     #[test]
@@ -331,11 +184,11 @@ mod tests {
                 Lit::pos(format!("x{:05}", i + 1)),
             ]);
         }
-        assert!(dpll_sat(&Cnf {
+        assert!(cdcl_sat(&Cnf {
             clauses: clauses.clone()
         }));
         clauses.push(vec![Lit::neg(format!("x{n:05}"))]);
-        assert!(!dpll_sat(&Cnf { clauses }));
+        assert!(!cdcl_sat(&Cnf { clauses }));
     }
 
     #[test]
@@ -347,6 +200,6 @@ mod tests {
                 vec![Lit::neg("a")],
             ],
         };
-        assert!(!dpll_sat(&cnf));
+        assert!(!cdcl_sat(&cnf));
     }
 }

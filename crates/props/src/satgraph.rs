@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use lph_graphs::{BitString, LabeledGraph, NodeId};
 
 use crate::boolean::{BoolExpr, Cnf};
-use crate::sat::dpll_sat_with_model;
+use crate::sat::cdcl_sat;
 use crate::PropsError;
 
 /// A graph whose nodes are labeled with Boolean formulas (a *Boolean
@@ -115,11 +115,9 @@ impl BooleanGraph {
         let mut clauses = Vec::new();
         for u in self.graph.nodes() {
             // The scope is appended as a *suffix* so that the global
-            // variable order follows the original names — solvers that
-            // branch in name order (like the bundled DPLL) then honor the
-            // formulas' own variable-ordering hints. Tseytin auxiliaries
-            // are prefixed `zz.` to sort last: they are always forced once
-            // the original variables are assigned.
+            // variable order follows the original names. Tseytin
+            // auxiliaries are prefixed `zz.` to sort last: they are always
+            // forced once the original variables are assigned.
             let scoped =
                 self.formulas[u.0].rename(&|p: &str| format!("{p}.s{}", scope[&(u, p.to_owned())]));
             let cnf = scoped.tseytin(&format!("zz.{}.", u.0));
@@ -174,7 +172,7 @@ impl BooleanGraph {
     /// Decides `SAT-GRAPH` membership: is there a per-node valuation
     /// satisfying every formula and consistent across every edge?
     pub fn is_satisfiable(&self) -> bool {
-        dpll_sat_with_model(&self.to_global_cnf()).is_some()
+        cdcl_sat(&self.to_global_cnf())
     }
 }
 

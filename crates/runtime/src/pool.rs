@@ -1,25 +1,20 @@
-//! The scoped worker pool and the deterministic-merge parallel primitives.
+//! The scoped fork/join loop and the deterministic-merge parallel primitives.
 //!
 //! # Execution model
 //!
-//! Every `par_*` call is one structured fork/join region:
+//! Every `par_*` call is one structured fork/join region. The index space
+//! `0..len` is cut into contiguous chunks, several per worker so uneven
+//! per-item cost still balances. `threads() − 1` workers are spawned with
+//! [`std::thread::scope`] (they borrow the caller's data directly) and the
+//! calling thread works alongside them. Each worker claims the next chunk
+//! with one [`AtomicUsize::fetch_add`] on a shared cursor until the cursor
+//! passes `len`, and tags each output with its chunk's start index; after
+//! the join the outputs are merged in index order, so the result is
+//! **exactly** the sequential left-to-right result.
 //!
-//! 1. The index space `0..len` is cut into contiguous chunks (several per
-//!    worker, so uneven per-item cost still balances).
-//! 2. Worker threads are spawned with [`std::thread::scope`] — they borrow
-//!    the caller's data directly, no `'static` or `Arc` required.
-//! 3. The calling thread acts as the producer: it feeds chunks into a
-//!    [`ChunkQueue`] (a [`Mutex`]-guarded deque with a [`Condvar`] for
-//!    workers that outpace the producer) and then closes the queue.
-//!    Idle workers steal the next unclaimed chunk — self-scheduling, the
-//!    simplest form of work stealing.
-//! 4. Each worker tags its chunk outputs with the chunk's start index;
-//!    after the join, tags are sorted and outputs concatenated, so the
-//!    merged result is **exactly** the sequential left-to-right result.
-//!
-//! A panic inside the mapped closure is caught on the worker, the queue is
-//! cancelled, and the original payload is re-raised on the calling thread
-//! once every worker has drained.
+//! A panic inside the mapped closure is caught per chunk and raises a stop
+//! flag that keeps every worker from claiming further chunks; the original
+//! payload is re-raised on the calling thread once every worker has joined.
 //!
 //! # Thread-count resolution
 //!
@@ -32,26 +27,20 @@
 //!
 //! # Observability
 //!
-//! When the global [`lph_trace`] recorder is enabled, every fork/join
-//! region reports under the `pool/` namespace: `pool/regions` and
-//! `pool/workers_spawned` counters, a `pool/chunks` counter with a
-//! `pool/chunk_ns` wall-time histogram per executed chunk,
-//! `pool/chunks_per_worker` (how evenly self-scheduling balanced the
-//! load), `pool/queue_depth` observed at each enqueue, and `pool/waits`
-//! counting Condvar sleeps by workers that outpaced the producer. All of
-//! it is scheduling-dependent — which is exactly why the `pool/`
-//! namespace is excluded from [`lph_trace::Snapshot`]'s deterministic
-//! fingerprint. With the recorder disabled the instrumentation is a
-//! relaxed atomic load per site.
+//! When the global [`lph_trace`] recorder is enabled, every region reports
+//! a `pool/region` span, `pool/regions` and `pool/workers_spawned`
+//! counters, a `pool/chunks` counter with a `pool/chunk_ns` histogram per
+//! executed chunk, and `pool/chunks_per_worker`. All of it is
+//! scheduling-dependent, which is why the `pool/` namespace is excluded
+//! from [`lph_trace::Snapshot`]'s deterministic fingerprint.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
+use std::time::Instant;
 
 type PanicPayload = Box<dyn Any + Send + 'static>;
 
@@ -59,15 +48,14 @@ thread_local! {
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Overrides the worker count used by the ambient-thread-count primitives
-/// (`par_map`, `par_find_first`, …) **for the calling thread**; `0` clears
-/// the override. Being thread-local, concurrent tests (or nested pools)
-/// cannot race each other's settings.
+/// Overrides the worker count used by the `par_*` primitives **for the
+/// calling thread**; `0` clears the override. Being thread-local,
+/// concurrent tests (or nested pools) cannot race each other's settings.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.with(|o| o.set(n));
 }
 
-/// The worker count the ambient primitives will use: the calling thread's
+/// The worker count the `par_*` primitives will use: the calling thread's
 /// [`set_threads`] override if set, else `LPH_THREADS` if set and positive,
 /// else the machine's available parallelism.
 pub fn threads() -> usize {
@@ -96,175 +84,77 @@ fn chunk_len(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.saturating_mul(8).max(1)).max(1)
 }
 
-/// A closable chunk queue: `Mutex`-guarded deque plus a `Condvar` on which
-/// workers wait whenever they outpace the producing (calling) thread.
-struct ChunkQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-struct QueueState {
-    chunks: VecDeque<Range<usize>>,
-    open: bool,
-}
-
-impl ChunkQueue {
-    fn new() -> Self {
-        ChunkQueue {
-            state: Mutex::new(QueueState {
-                chunks: VecDeque::new(),
-                open: true,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a chunk; returns `false` if the queue was cancelled (the
-    /// producer should stop feeding).
-    fn push(&self, c: Range<usize>) -> bool {
-        let mut s = self.state.lock().expect("queue lock");
-        if !s.open {
-            return false;
-        }
-        s.chunks.push_back(c);
-        let depth = s.chunks.len();
-        drop(s);
-        // Outside the queue lock: the recorder has its own.
-        lph_trace::observe("pool/queue_depth", depth as u64);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Blocks until a chunk is available or the queue is closed and empty.
-    fn pop(&self) -> Option<Range<usize>> {
-        let mut s = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(c) = s.chunks.pop_front() {
-                return Some(c);
-            }
-            if !s.open {
-                return None;
-            }
-            lph_trace::add("pool/waits", 1);
-            s = self.ready.wait(s).expect("queue lock");
-        }
-    }
-
-    /// Marks the end of production; workers drain what remains.
-    fn close(&self) {
-        self.state.lock().expect("queue lock").open = false;
-        self.ready.notify_all();
-    }
-
-    /// Closes *and* discards pending chunks (panic or early-exit paths).
-    fn cancel(&self) {
-        let mut s = self.state.lock().expect("queue lock");
-        s.open = false;
-        s.chunks.clear();
-        drop(s);
-        self.ready.notify_all();
-    }
-}
-
-/// The fork/join engine: runs `worker` over ascending index chunks on
-/// `workers` threads and returns the `(chunk_start, output)` pairs sorted
-/// by chunk start. Chunks whose start satisfies `prune` are skipped — and
-/// since chunks are produced in ascending order and `prune` is required to
-/// be upward closed (`prune(s)` implies `prune(s')` for `s' > s`),
-/// production simply stops at the first pruned chunk.
-fn run_chunks<R, W, P>(workers: usize, len: usize, worker: W, prune: P) -> Vec<(usize, R)>
-where
-    R: Send,
-    W: Fn(Range<usize>) -> R + Sync,
-    P: Fn(usize) -> bool + Sync,
-{
-    let _span = lph_trace::span("pool/region");
-    lph_trace::add("pool/regions", 1);
-    lph_trace::add("pool/workers_spawned", workers as u64);
-    let step = chunk_len(len, workers);
-    let queue = ChunkQueue::new();
-    let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
-    let mut merged: Vec<(usize, R)> = Vec::new();
-
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    while let Some(range) = queue.pop() {
-                        if prune(range.start) {
-                            continue;
-                        }
-                        let start = range.start;
-                        let t0 = lph_trace::enabled().then(std::time::Instant::now);
-                        match catch_unwind(AssertUnwindSafe(|| worker(range))) {
-                            Ok(r) => {
-                                if let Some(t0) = t0 {
-                                    lph_trace::add("pool/chunks", 1);
-                                    lph_trace::observe(
-                                        "pool/chunk_ns",
-                                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                    );
-                                }
-                                local.push((start, r));
-                            }
-                            Err(payload) => {
-                                let mut slot = panic_slot.lock().expect("panic slot");
-                                slot.get_or_insert(payload);
-                                drop(slot);
-                                queue.cancel();
-                                break;
-                            }
-                        }
-                    }
-                    lph_trace::observe("pool/chunks_per_worker", local.len() as u64);
-                    local
-                })
-            })
-            .collect();
-
-        // Produce chunks from the calling thread, then close the queue.
-        let mut start = 0;
-        while start < len {
-            let end = (start + step).min(len);
-            if prune(start) || !queue.push(start..end) {
-                break;
-            }
-            start = end;
-        }
-        queue.close();
-
-        for h in handles {
-            merged.extend(
-                h.join()
-                    .expect("worker panicked outside the catch boundary"),
-            );
-        }
-    });
-
-    if let Some(payload) = panic_slot.into_inner().expect("panic slot") {
-        resume_unwind(payload);
-    }
-    merged.sort_by_key(|&(start, _)| start);
-    merged
-}
-
-/// [`par_map_index`] with an explicit worker count.
-pub fn par_map_index_with<U, F>(workers: usize, len: usize, f: F) -> Vec<U>
+/// The one fork/join loop: runs `chunk` over the contiguous chunks of
+/// `0..len` on [`threads`] workers, the calling thread being one of them,
+/// and concatenates the chunk outputs in index order. At width 1 it is the
+/// plain `chunk(0..len)` on the calling thread.
+fn fork_join<U, C>(len: usize, chunk: C) -> Vec<U>
 where
     U: Send,
-    F: Fn(usize) -> U + Sync,
+    C: Fn(Range<usize>) -> Vec<U> + Sync,
 {
-    if workers <= 1 || len <= 1 {
-        return (0..len).map(f).collect();
+    let workers = threads().min(len);
+    if workers <= 1 {
+        return chunk(0..len);
     }
-    let chunks = run_chunks(
-        workers.min(len),
-        len,
-        |range| range.map(&f).collect::<Vec<U>>(),
-        |_| false,
-    );
-    collect_ordered(chunks, len)
+    let _span = lph_trace::span("pool/region");
+    lph_trace::add("pool/regions", 1);
+    lph_trace::add("pool/workers_spawned", workers as u64 - 1);
+    let step = chunk_len(len, workers);
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+
+    let worker = || -> Result<Vec<(usize, Vec<U>)>, PanicPayload> {
+        let mut local = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let start = cursor.fetch_add(step, Ordering::Relaxed);
+            if start >= len {
+                break;
+            }
+            let range = start..(start + step).min(len);
+            let t0 = lph_trace::enabled().then(Instant::now);
+            match catch_unwind(AssertUnwindSafe(|| chunk(range))) {
+                Ok(out) => local.push((start, out)),
+                Err(payload) => {
+                    stop.store(true, Ordering::Relaxed);
+                    return Err(payload);
+                }
+            }
+            if let Some(t0) = t0 {
+                lph_trace::add("pool/chunks", 1);
+                lph_trace::observe(
+                    "pool/chunk_ns",
+                    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                );
+            }
+        }
+        lph_trace::observe("pool/chunks_per_worker", local.len() as u64);
+        Ok(local)
+    };
+
+    let joined = thread::scope(|s| {
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(worker)).collect();
+        let mut joined = vec![worker()];
+        joined.extend(handles.into_iter().map(|h| {
+            h.join()
+                .expect("worker panicked outside the catch boundary")
+        }));
+        joined
+    });
+
+    let mut parts = Vec::new();
+    for outcome in joined {
+        match outcome {
+            Ok(local) => parts.extend(local),
+            Err(payload) => resume_unwind(payload),
+        }
+    }
+    parts.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(parts.iter().map(|(_, part)| part.len()).sum());
+    for (_, part) in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// Maps `f` over `0..len`, returning the results in index order — exactly
@@ -274,17 +164,7 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    par_map_index_with(threads(), len, f)
-}
-
-/// [`par_map`] with an explicit worker count.
-pub fn par_map_with<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_index_with(workers, items.len(), |i| f(&items[i]))
+    fork_join(len, |range| range.map(&f).collect())
 }
 
 /// Maps `f` over a slice, returning the results in input order — exactly
@@ -295,17 +175,16 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_with(threads(), items, f)
+    par_map_index(items.len(), |i| f(&items[i]))
 }
 
 /// [`par_map`] that stays sequential below a batch-size threshold.
 ///
 /// Latency-sensitive callers (the `lph-serve` request batcher) use this
-/// instead of [`par_map`]: a fork/join region costs worker spawns and a
-/// queue round-trip, which dominates tiny batches. Below `min_parallel`
-/// items the call is exactly the sequential map on the calling thread; at
-/// or above it, exactly [`par_map`] — either way the output order is the
-/// input order.
+/// instead of [`par_map`]: a fork/join region costs worker spawns, which
+/// dominate tiny batches. Below `min_parallel` items the call is exactly
+/// the sequential map on the calling thread; at or above it, exactly
+/// [`par_map`] — either way the output order is the input order.
 pub fn par_map_threshold<T, U, F>(min_parallel: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -319,24 +198,6 @@ where
     }
 }
 
-/// [`par_filter_map_index`] with an explicit worker count.
-pub fn par_filter_map_index_with<U, F>(workers: usize, len: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> Option<U> + Sync,
-{
-    if workers <= 1 || len <= 1 {
-        return (0..len).filter_map(f).collect();
-    }
-    let chunks = run_chunks(
-        workers.min(len),
-        len,
-        |range| range.filter_map(&f).collect::<Vec<U>>(),
-        |_| false,
-    );
-    chunks.into_iter().flat_map(|(_, v)| v).collect()
-}
-
 /// Filter-maps `f` over `0..len`, keeping survivors in index order —
 /// exactly `(0..len).filter_map(f).collect()`. Memory stays proportional
 /// to the *kept* results, which is what makes it the right shape for
@@ -346,26 +207,7 @@ where
     U: Send,
     F: Fn(usize) -> Option<U> + Sync,
 {
-    par_filter_map_index_with(threads(), len, f)
-}
-
-/// [`par_flat_map`] with an explicit worker count.
-pub fn par_flat_map_with<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Vec<U> + Sync,
-{
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().flat_map(f).collect();
-    }
-    let chunks = run_chunks(
-        workers.min(items.len()),
-        items.len(),
-        |range| range.flat_map(|i| f(&items[i])).collect::<Vec<U>>(),
-        |_| false,
-    );
-    chunks.into_iter().flat_map(|(_, v)| v).collect()
+    fork_join(len, |range| range.filter_map(&f).collect())
 }
 
 /// Flat-maps `f` over a slice, concatenating the per-item vectors in input
@@ -376,133 +218,9 @@ where
     U: Send,
     F: Fn(&T) -> Vec<U> + Sync,
 {
-    par_flat_map_with(threads(), items, f)
-}
-
-/// [`par_find_first_index`] with an explicit worker count.
-pub fn par_find_first_index_with<U, F>(workers: usize, len: usize, f: F) -> Option<U>
-where
-    U: Send,
-    F: Fn(usize) -> Option<U> + Sync,
-{
-    if workers <= 1 || len <= 1 {
-        return (0..len).find_map(f);
-    }
-    // The least index with a hit so far; `usize::MAX` while none. Indices at
-    // or beyond it can never win, so workers break and the producer stops.
-    let best_idx = AtomicUsize::new(usize::MAX);
-    let best: Mutex<Option<(usize, U)>> = Mutex::new(None);
-    run_chunks(
-        workers.min(len),
-        len,
-        |range| {
-            for i in range {
-                if i >= best_idx.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(v) = f(i) {
-                    let mut b = best.lock().expect("best slot");
-                    if b.as_ref().is_none_or(|&(bi, _)| i < bi) {
-                        best_idx.fetch_min(i, Ordering::Relaxed);
-                        *b = Some((i, v));
-                    }
-                    break;
-                }
-            }
-        },
-        |start| start > best_idx.load(Ordering::Relaxed),
-    );
-    best.into_inner().expect("best slot").map(|(_, v)| v)
-}
-
-/// Returns `f(i)` for the **least** `i` in `0..len` where it is `Some` —
-/// the same value `(0..len).find_map(f)` returns. Unlike the sequential
-/// form, `f` may also be evaluated at indices past the winning one; it must
-/// therefore be effect-free (all the sweeps here are pure).
-pub fn par_find_first_index<U, F>(len: usize, f: F) -> Option<U>
-where
-    U: Send,
-    F: Fn(usize) -> Option<U> + Sync,
-{
-    par_find_first_index_with(threads(), len, f)
-}
-
-/// [`par_find_first`] with an explicit worker count.
-pub fn par_find_first_with<T, U, F>(workers: usize, items: &[T], f: F) -> Option<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Option<U> + Sync,
-{
-    par_find_first_index_with(workers, items.len(), |i| f(&items[i]))
-}
-
-/// Returns `f(x)` for the first slice element where it is `Some` — the
-/// same value `items.iter().find_map(f)` returns (see
-/// [`par_find_first_index`] for the purity requirement on `f`).
-pub fn par_find_first<T, U, F>(items: &[T], f: F) -> Option<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Option<U> + Sync,
-{
-    par_find_first_with(threads(), items, f)
-}
-
-/// [`par_reduce`] with an explicit worker count.
-pub fn par_reduce_with<T, A, ID, F, C>(
-    workers: usize,
-    items: &[T],
-    identity: ID,
-    fold: F,
-    combine: C,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    ID: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().fold(identity(), fold);
-    }
-    let chunks = run_chunks(
-        workers.min(items.len()),
-        items.len(),
-        |range| items[range].iter().fold(identity(), &fold),
-        |_| false,
-    );
-    chunks
-        .into_iter()
-        .fold(identity(), |acc, (_, a)| combine(acc, a))
-}
-
-/// Folds a slice chunk-wise and combines the chunk accumulators in input
-/// order. The result equals `items.iter().fold(identity(), fold)` whenever
-/// `combine(fold(identity(), xs), fold(identity(), ys))
-/// == fold(identity(), xs ++ ys)` — true for every accumulator used in this
-/// workspace (vector concatenation, counting, max/min, boolean and/or).
-pub fn par_reduce<T, A, ID, F, C>(items: &[T], identity: ID, fold: F, combine: C) -> A
-where
-    T: Sync,
-    A: Send,
-    ID: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    par_reduce_with(threads(), items, identity, fold, combine)
-}
-
-/// Flattens sorted `(start, chunk)` pairs, checking full index coverage.
-fn collect_ordered<U>(chunks: Vec<(usize, Vec<U>)>, len: usize) -> Vec<U> {
-    let mut out = Vec::with_capacity(len);
-    for (start, chunk) in chunks {
-        debug_assert_eq!(start, out.len(), "chunk merge out of order");
-        out.extend(chunk);
-    }
-    debug_assert_eq!(out.len(), len, "chunk merge lost items");
-    out
+    fork_join(items.len(), |range| {
+        items[range].iter().flat_map(&f).collect()
+    })
 }
 
 #[cfg(test)]
@@ -522,109 +240,68 @@ mod tests {
     }
 
     #[test]
-    fn map_matches_sequential_for_every_worker_count() {
-        let items: Vec<u64> = (0..997).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+    fn every_primitive_matches_its_sequential_loop_at_every_width() {
+        let items: Vec<usize> = (0..997).collect();
+        let map: Vec<usize> = items.iter().map(|&x| x * x + 1).collect();
+        let kept: Vec<usize> = (0..997).filter(|i| i % 7 == 0).collect();
+        let flat: Vec<usize> = items.iter().flat_map(|&i| vec![i; i % 3]).collect();
         for workers in [1, 2, 3, 4, 7, 64] {
-            assert_eq!(par_map_with(workers, &items, |&x| x * x + 1), seq);
+            set_threads(workers);
+            assert_eq!(par_map(&items, |&x| x * x + 1), map);
+            assert_eq!(par_map_index(997, |x| x * x + 1), map);
+            // Below the threshold (sequential path) and above it.
+            assert_eq!(par_map_threshold(1000, &items, |&x| x * x + 1), map);
+            assert_eq!(par_map_threshold(2, &items, |&x| x * x + 1), map);
+            let par = par_filter_map_index(997, |i| (i % 7 == 0).then_some(i));
+            assert_eq!(par, kept);
+            assert_eq!(par_flat_map(&items, |&i| vec![i; i % 3]), flat);
+            assert_eq!(par_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
+            assert_eq!(par_flat_map(&[9u8], |&x| vec![x, x]), vec![9, 9]);
         }
-    }
-
-    #[test]
-    fn filter_map_keeps_order() {
-        let seq: Vec<usize> = (0..1000).filter(|i| i % 7 == 0).collect();
-        for workers in [1, 2, 5] {
-            let par = par_filter_map_index_with(workers, 1000, |i| (i % 7 == 0).then_some(i));
-            assert_eq!(par, seq);
-        }
-    }
-
-    #[test]
-    fn threshold_map_matches_sequential_on_both_sides() {
-        let items: Vec<u64> = (0..37).collect();
-        let seq: Vec<u64> = items.iter().map(|&x| x * 3).collect();
-        // Below the threshold (sequential path) and above it (pool path)
-        // must produce identical output.
-        assert_eq!(par_map_threshold(100, &items, |&x| x * 3), seq);
-        assert_eq!(par_map_threshold(2, &items, |&x| x * 3), seq);
-        assert_eq!(
-            par_map_threshold(2, &Vec::<u64>::new(), |&x| x),
-            Vec::<u64>::new()
-        );
-    }
-
-    #[test]
-    fn flat_map_concatenates_in_order() {
-        let items: Vec<usize> = (0..200).collect();
-        let seq: Vec<usize> = items.iter().flat_map(|&i| vec![i; i % 3]).collect();
-        assert_eq!(par_flat_map_with(4, &items, |&i| vec![i; i % 3]), seq);
-    }
-
-    #[test]
-    fn find_first_returns_the_least_hit() {
-        // Hits at 300, 301, ..; the least one must win on every count.
-        for workers in [1, 2, 3, 8] {
-            let got = par_find_first_index_with(workers, 1000, |i| (i >= 300).then_some(i));
-            assert_eq!(got, Some(300));
-            let none = par_find_first_index_with(workers, 1000, |_| Option::<usize>::None);
-            assert_eq!(none, None);
-        }
-    }
-
-    #[test]
-    fn reduce_matches_sequential_fold() {
-        let items: Vec<u64> = (1..=5000).collect();
-        let seq: u64 = items.iter().sum();
-        for workers in [1, 2, 4, 9] {
-            let par = par_reduce_with(workers, &items, || 0u64, |a, &x| a + x, |a, b| a + b);
-            assert_eq!(par, seq);
-        }
-    }
-
-    #[test]
-    fn reduce_concatenation_preserves_order() {
-        let items: Vec<usize> = (0..777).collect();
-        let par = par_reduce_with(
-            4,
-            &items,
-            Vec::new,
-            |mut acc, &x| {
-                acc.push(x);
-                acc
-            },
-            |mut a, mut b| {
-                a.append(&mut b);
-                a
-            },
-        );
-        assert_eq!(par, items);
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        assert_eq!(par_map_with(4, &Vec::<u8>::new(), |&x| x), Vec::<u8>::new());
-        assert_eq!(par_map_with(4, &[9u8], |&x| x), vec![9]);
-        assert_eq!(
-            par_find_first_with(4, &Vec::<u8>::new(), |&x| Some(x)),
-            None
-        );
+        set_threads(0);
     }
 
     #[test]
     fn worker_panic_propagates_with_payload() {
         let items: Vec<usize> = (0..256).collect();
+        set_threads(4);
         let caught = std::panic::catch_unwind(|| {
-            par_map_with(4, &items, |&i| {
+            par_map(&items, |&i| {
                 assert!(i != 97, "poisoned item {i}");
                 i
             })
         });
+        set_threads(0);
         let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = payload.downcast_ref::<String>().cloned();
+        let msg = msg.unwrap_or_default();
         assert!(msg.contains("poisoned item 97"), "payload kept: {msg}");
+    }
+
+    #[test]
+    fn slow_items_spread_over_the_workers_and_still_merge_in_order() {
+        // Slow items make several workers claim chunks, so the merge has
+        // interleaved outputs to put back in order; every chunk runs on the
+        // caller or on one of the `workers - 1` spawned threads.
+        let caller = thread::current().id();
+        for workers in [2, 3, 4, 7] {
+            set_threads(workers);
+            let out = par_map_index(64, |i| {
+                thread::sleep(std::time::Duration::from_micros(200));
+                (i, thread::current().id())
+            });
+            assert!(
+                out.iter().map(|&(i, _)| i).eq(0..64),
+                "order at width {workers}"
+            );
+            let spawned: std::collections::HashSet<_> = out
+                .iter()
+                .map(|&(_, id)| id)
+                .filter(|&id| id != caller)
+                .collect();
+            assert!(spawned.len() < workers, "at most workers - 1 spawned");
+        }
+        set_threads(0);
     }
 
     #[test]

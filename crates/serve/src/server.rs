@@ -182,7 +182,10 @@ pub fn serve_stdio(engine: &Engine, config: &ServerConfig) -> io::Result<()> {
     serve_connection(engine, config, stdin.lock(), stdout.lock())
 }
 
-/// Accepts TCP connections forever, one thread per connection.
+/// Accepts TCP connections forever, one thread per connection. Every
+/// connection thread runs its batches at the calling thread's pool width
+/// ([`lph_runtime::threads`], read once before the first accept), so a
+/// [`lph_runtime::set_threads`] override reaches TCP traffic too.
 ///
 /// # Errors
 ///
@@ -193,11 +196,13 @@ pub fn serve_tcp(
     config: ServerConfig,
     listener: &TcpListener,
 ) -> io::Result<()> {
+    let threads = lph_runtime::threads();
     loop {
         let (stream, _) = listener.accept()?;
         let engine = Arc::clone(&engine);
         let config = config.clone();
         std::thread::spawn(move || {
+            lph_runtime::set_threads(threads);
             let _ = handle_tcp(&engine, &config, stream);
         });
     }

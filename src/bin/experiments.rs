@@ -43,7 +43,7 @@ use lph::fagin::compiler::sentence_game;
 use lph::fagin::{machine_to_sat_graph, TableauBounds};
 use lph::graphs::{generators, CertificateList, GraphStructure, IdAssignment, PolyBound};
 use lph::logic::check::CheckOptions;
-use lph::logic::{examples, CompiledSentence, EvalBackend};
+use lph::logic::{examples, CompiledSentence};
 use lph::machine::{machines, run_tm, run_tm_compiled, CompiledTm, ExecLimits};
 use lph::pictures::encode::{picture_to_graph, transport_sentence};
 use lph::pictures::{langs, Picture};
@@ -180,9 +180,8 @@ fn compiled_tier_series() {
             compiled.check_on_graph(&gs, &opts).unwrap();
         });
         println!(
-            "Φ {name:16} on C{n}: {fast} (auto → {:?}; {:3} formula nodes → {:3} plan ops); \
+            "Φ {name:16} on C{n}: {fast} ({:3} formula nodes → {:3} plan ops); \
              interpreted {ti:.1?}, compiled {tc:.1?} ({:.2}x)",
-            EvalBackend::Auto.resolve(&phi),
             phi.matrix.body().node_count(),
             compiled.plan_len(),
             ti.as_secs_f64() / tc.as_secs_f64().max(1e-9)

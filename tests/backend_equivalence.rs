@@ -1,9 +1,7 @@
 //! Tier-1 gate for the compilation tier: over the *registered corpus* —
 //! the artifacts every other gate trusts — the bytecode VM agrees with the
-//! TM interpreter bit for bit, the plan compiler agrees with the sentence
-//! checker, and `Auto` routing is deterministic (including under
-//! `LPH_THREADS=1`, pinned the same way `tests/parallel_equivalence.rs`
-//! pins the worker pool).
+//! TM interpreter bit for bit, and the plan compiler agrees with the
+//! sentence checker.
 
 use lph::analysis::builtin;
 use lph::graphs::{
@@ -11,9 +9,8 @@ use lph::graphs::{
     LabeledGraph,
 };
 use lph::logic::check::CheckOptions;
-use lph::logic::{CompiledSentence, EvalBackend};
+use lph::logic::CompiledSentence;
 use lph::machine::{run_tm, run_tm_compiled, CompiledTm, ExecLimits, TmBackend};
-use lph::runtime;
 
 fn probe_family() -> Vec<LabeledGraph> {
     vec![
@@ -89,33 +86,6 @@ fn corpus_sentences_agree_across_backends() {
 }
 
 #[test]
-fn auto_routing_is_deterministic_across_pool_widths() {
-    // Backend resolution must not depend on the runtime's thread setting:
-    // the same sentence resolves to the same engine at width 1 and width 4,
-    // and an Auto-routed check returns the same result at both widths.
-    let corpus = builtin();
-    let g = generators::labeled_cycle(&["1", "0", "1", "1"]);
-    let gs = GraphStructure::of(&g);
-    let opts = CheckOptions::default();
-    for a in &corpus.sentences {
-        runtime::set_threads(1);
-        let routed_seq = EvalBackend::Auto.resolve(&a.sentence);
-        let res_seq = a
-            .sentence
-            .check_on_graph_backend(&gs, &opts, EvalBackend::Auto);
-        runtime::set_threads(4);
-        let routed_par = EvalBackend::Auto.resolve(&a.sentence);
-        let res_par = a
-            .sentence
-            .check_on_graph_backend(&gs, &opts, EvalBackend::Auto);
-        runtime::set_threads(0);
-        assert_eq!(routed_seq, routed_par, "{}: routing drifted", a.name);
-        assert_ne!(routed_seq, EvalBackend::Auto, "{}: must resolve", a.name);
-        assert_eq!(res_seq, res_par, "{}: Auto verdict drifted", a.name);
-    }
-}
-
-#[test]
 fn corpus_arbiters_agree_across_exec_backends() {
     // Arbiter::run routes TM arbiters through the VM by default; the
     // interpreted engine must remain reachable and agree, certificates
@@ -147,5 +117,4 @@ fn corpus_arbiters_agree_across_exec_backends() {
 #[test]
 fn tm_backend_enum_defaults_to_auto() {
     assert_eq!(TmBackend::default(), TmBackend::Auto);
-    assert_eq!(EvalBackend::default(), EvalBackend::Auto);
 }

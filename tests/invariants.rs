@@ -140,8 +140,8 @@ fn polybound_algebra_is_pointwise_correct() {
 }
 
 #[test]
-fn dpll_agrees_with_brute_force() {
-    use lph_props::{dpll_sat, Cnf, Lit};
+fn cdcl_agrees_with_brute_force() {
+    use lph_props::{cdcl_sat, Cnf, Lit};
     for seed in 0..CASES {
         let mut rng = XorShift::new(seed);
         let nvars = 1 + rng.below(5);
@@ -166,13 +166,13 @@ fn dpll_agrees_with_brute_force() {
                 })
             })
         });
-        assert_eq!(dpll_sat(&cnf), brute, "seed {seed}");
+        assert_eq!(cdcl_sat(&cnf), brute, "seed {seed}");
     }
 }
 
 #[test]
 fn tseytin_preserves_satisfiability() {
-    use lph_props::{dpll_sat, BoolExpr};
+    use lph_props::{cdcl_sat, BoolExpr};
     fn random_expr(rng: &mut XorShift, depth: usize) -> BoolExpr {
         if depth == 0 {
             return match rng.below(3) {
@@ -205,10 +205,10 @@ fn tseytin_preserves_satisfiability() {
                 mask >> i & 1 == 1
             })
         });
-        assert_eq!(dpll_sat(&e.tseytin("aux.")), brute, "seed {seed}");
+        assert_eq!(cdcl_sat(&e.tseytin("aux.")), brute, "seed {seed}");
         // 3-CNF splitting preserves it too.
         assert_eq!(
-            dpll_sat(&e.tseytin("aux.").to_three_cnf("aux.s")),
+            cdcl_sat(&e.tseytin("aux.").to_three_cnf("aux.s")),
             brute,
             "seed {seed}"
         );
