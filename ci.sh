@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(fmt clippy build test compile sat serve lint analyze doc trace-smoke bench-smoke bench-gate)
+STAGES=(fmt clippy build test compile sat serve e2ebench lint analyze doc trace-smoke bench-smoke bench-gate)
 QUICK_STAGES=(fmt clippy build test)
 
 stage_fmt() { cargo fmt --all -- --check; }
@@ -83,6 +83,15 @@ stage_serve() {
   rm -f target/transcript_*
 }
 
+# The end-to-end benchmark (`lphbench/`, its own Cargo workspace using
+# the repo crates by path) must still build and pass its generator tests,
+# so a refactor of a public API it calls fails here rather than in a
+# later benchmark run.
+stage_e2ebench() {
+  cargo build --release --offline --manifest-path lphbench/Cargo.toml
+  cargo test -q --offline --manifest-path lphbench/Cargo.toml
+}
+
 stage_lint() { cargo run --release --bin lph-lint -- --deny warnings; }
 
 # Deep mode: the syntactic rules plus the semantic dataflow tier
@@ -98,7 +107,8 @@ stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # longer has (they were replaced by the seeded-XorShift suites and the
 # lph-bench shim) and to deleted APIs and trace names (the par_find_first
 # and par_reduce entry points, EvalBackend, the DPLL solver, the pool's
-# queue counters); naming any of them in the docs is a doc rot bug.
+# queue counters, the per-request unverified-bytecode refusal); naming
+# any of them in the docs is a doc rot bug.
 stage_trace_smoke() {
   local out="$PWD/trace_smoke.json"
   rm -f "$out"
@@ -106,7 +116,7 @@ stage_trace_smoke() {
   cargo run --release --bin bench-gate -- --validate-trace "$out"
   rm -f "$out"
   local banned
-  if banned=$(grep -inE 'criterion|proptest|par_find_first|par_reduce|EvalBackend|dpll_sat|queue_depth|pool/waits' \
+  if banned=$(grep -inE 'criterion|proptest|par_find_first|par_reduce|EvalBackend|dpll_sat|queue_depth|pool/waits|unverified_bytecode|bytecode_findings|admit_compiled' \
     README.md EXPERIMENTS.md PROTOCOL.md DESIGN.md); then
     echo "trace-smoke: stale references in the docs:" >&2
     echo "$banned" >&2

@@ -35,13 +35,12 @@ pub const SERVE_SCHEMA: &str = "lph-serve/1";
 pub const SERVE_KINDS: [&str; 4] = ["membership", "lint", "reduction", "list"];
 
 /// Every structured error code a response may carry.
-pub const SERVE_ERROR_CODES: [&str; 7] = [
+pub const SERVE_ERROR_CODES: [&str; 6] = [
     "parse_error",
     "unknown_artifact",
     "bad_graph",
     "unsupported_level",
     "over_budget",
-    "unverified_bytecode",
     "engine_error",
 ];
 
@@ -229,13 +228,6 @@ pub fn validate_serve_response(v: &Json) -> Result<(), String> {
                 uint_field(err, "cost", "over_budget error")?;
                 uint_field(err, "budget", "over_budget error")?;
             }
-            if code == "unverified_bytecode" {
-                // The translation-validation rejection names the rules
-                // (`VM001`…) the compiled artifact failed.
-                err.get("findings")
-                    .and_then(Json::as_arr)
-                    .ok_or("unverified_bytecode error needs a \"findings\" array")?;
-            }
         }
         _ => return Err("response needs a boolean \"ok\"".into()),
     }
@@ -308,7 +300,6 @@ mod tests {
             r#"{"id":"d","ok":true,"kind":"list","arbiters":[],"reductions":[]}"#,
             r#"{"id":null,"ok":false,"error":{"code":"parse_error","detail":"bad json"}}"#,
             r#"{"id":"e","ok":false,"error":{"code":"over_budget","detail":"x","cost":900,"budget":100}}"#,
-            r#"{"id":"f","ok":false,"error":{"code":"unverified_bytecode","detail":"x","findings":["VM003"]}}"#,
         ] {
             validate_serve_response(&parse(line)).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
@@ -326,11 +317,6 @@ mod tests {
                 // over_budget without the structured cost/budget fields.
                 r#"{"id":"a","ok":false,"error":{"code":"over_budget","detail":"d"}}"#,
                 "cost",
-            ),
-            (
-                // unverified_bytecode without the failed-rule list.
-                r#"{"id":"a","ok":false,"error":{"code":"unverified_bytecode","detail":"d"}}"#,
-                "findings",
             ),
             (
                 r#"{"id":7,"ok":true,"kind":"list","arbiters":[],"reductions":[]}"#,

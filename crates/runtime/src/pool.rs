@@ -59,8 +59,14 @@ pub fn set_threads(n: usize) {
 /// [`set_threads`] override if set, else `LPH_THREADS` if set and positive,
 /// else the machine's available parallelism.
 pub fn threads() -> usize {
+    let overridden = THREAD_OVERRIDE.with(Cell::get);
+    if overridden > 0 {
+        // The override decides alone: skip the environment lookup and the
+        // hardware probe (cgroup reads on Linux).
+        return overridden;
+    }
     resolve_threads(
-        THREAD_OVERRIDE.with(Cell::get),
+        0,
         std::env::var("LPH_THREADS").ok().as_deref(),
         thread::available_parallelism().map_or(1, usize::from),
     )

@@ -25,14 +25,12 @@
 //! on trust.
 //!
 //! Requests that pin the compiled execution tier (`"exec":"compiled"`)
-//! are priced one level deeper: the polynomial comes from
-//! [`lph_analysis::analyze_bytecode`] — re-derived from the `CompiledTm`
-//! bytecode that will actually run, not from the source table — and is
-//! only available when the translation validators (`VM001`–`VM004`)
-//! passed at registry construction. An arbiter whose compiled artifact
-//! failed validation is refused compiled execution outright with a
-//! structured `unverified_bytecode` error listing the failed rules; the
-//! interpreted tier stays available for it.
+//! are priced one level deeper, through the same path: the polynomial
+//! comes from [`lph_analysis::analyze_bytecode`] — re-derived from the
+//! `CompiledTm` bytecode that will actually run, not from the source
+//! table. Every registered artifact passed the translation validators
+//! (`VM001`–`VM004`) when the registry was built, so admission never
+//! sees unverified bytecode.
 
 use lph_analysis::json::Json;
 use lph_graphs::PolyBound;
@@ -63,11 +61,11 @@ impl Default for Admission {
     }
 }
 
-/// A refused request: the structured payload of an `over_budget` or
-/// `unverified_bytecode` response.
+/// A refused request: the structured payload of an `over_budget`
+/// response.
 #[derive(Debug)]
 pub struct Rejection {
-    /// The wire error code (`"over_budget"` or `"unverified_bytecode"`).
+    /// The wire error code (always `"over_budget"`).
     pub code: &'static str,
     /// Human-readable reason.
     pub detail: String,
@@ -78,20 +76,11 @@ pub struct Rejection {
     /// The certified polynomial behind the price, displayed, when one
     /// was used.
     pub bound: Option<String>,
-    /// For `unverified_bytecode`: the translation-validation rule codes
-    /// the compiled artifact failed.
-    pub findings: Vec<String>,
 }
 
 impl Rejection {
     /// The extra fields spliced into the `"error"` object.
     pub fn extra_fields(&self) -> Vec<(String, Json)> {
-        if self.code == "unverified_bytecode" {
-            return vec![(
-                "findings".to_owned(),
-                Json::Arr(self.findings.iter().cloned().map(Json::Str).collect()),
-            )];
-        }
         let mut extra = vec![
             ("cost".to_owned(), Json::Num(self.cost as f64)),
             ("budget".to_owned(), Json::Num(self.budget as f64)),
@@ -109,7 +98,6 @@ impl Rejection {
             cost,
             budget,
             bound,
-            findings: Vec::new(),
         }
     }
 }
@@ -125,18 +113,15 @@ impl Admission {
     /// Prices a membership request and decides admission.
     ///
     /// Requests pinning [`TmBackend::Compiled`] are priced from the
-    /// bytecode-certified bound and refused when translation validation
-    /// failed; `Auto` and `Interpreted` requests are priced from the
-    /// interpreter-tier bound (`VM004` pins the two bounds to agree
-    /// whenever the compiled artifact verifies).
+    /// bytecode-certified bound; `Auto` and `Interpreted` requests from
+    /// the interpreter-tier bound (`VM004` pins the two bounds to agree).
     ///
     /// # Errors
     ///
     /// A [`Rejection`] when the node cap or the certified budget is
-    /// exceeded, or when compiled execution is requested of an arbiter
-    /// whose bytecode failed validation. On admission, returns whether
-    /// the price was certified (TM-backed arbiter with a proved step
-    /// bound) or the request ran on trust.
+    /// exceeded. On admission, returns whether the price was certified
+    /// (TM-backed arbiter with a proved step bound) or the request ran on
+    /// trust.
     pub fn admit_membership(
         &self,
         entry: &ArbiterEntry,
@@ -144,10 +129,14 @@ impl Admission {
         exec: TmBackend,
     ) -> Result<bool, Rejection> {
         self.admit_nodes(n)?;
-        if exec == TmBackend::Compiled {
-            return self.admit_compiled(entry, n);
-        }
-        let Some(steps) = &entry.certified_steps else {
+        let (steps, tier) = if exec == TmBackend::Compiled {
+            (&entry.bytecode_certified_steps, "bytecode-certified")
+        } else {
+            (&entry.certified_steps, "certified")
+        };
+        let Some(steps) = steps else {
+            // Local arbiters have no machine and so no certificate; the
+            // exec pin is inert and they are admitted on trust.
             lph_trace::add("serve/admitted_uncertified", 1);
             return Ok(false);
         };
@@ -156,49 +145,7 @@ impl Admission {
             lph_trace::add("serve/rejected_over_budget", 1);
             return Err(Rejection::over_budget(
                 format!(
-                    "certified bound {steps} prices {} at n={n} nodes x {} rounds = {cost} steps, over budget {}",
-                    entry.key, entry.declared_rounds, self.max_cost
-                ),
-                cost,
-                self.max_cost,
-                Some(steps.to_string()),
-            ));
-        }
-        lph_trace::add("serve/admitted_certified", 1);
-        Ok(true)
-    }
-
-    /// The compiled-tier admission path: refuses unverified bytecode,
-    /// otherwise prices from the bound re-derived from the bytecode.
-    fn admit_compiled(&self, entry: &ArbiterEntry, n: usize) -> Result<bool, Rejection> {
-        if !entry.bytecode_findings.is_empty() {
-            lph_trace::add("serve/rejected_unverified_bytecode", 1);
-            return Err(Rejection {
-                code: "unverified_bytecode",
-                detail: format!(
-                    "compiled artifact for {} failed translation validation ({}); \
-                     refusing compiled execution (the interpreted tier remains available)",
-                    entry.key,
-                    entry.bytecode_findings.join(", ")
-                ),
-                cost: 0,
-                budget: 0,
-                bound: None,
-                findings: entry.bytecode_findings.clone(),
-            });
-        }
-        let Some(steps) = &entry.bytecode_certified_steps else {
-            // Local arbiters have no machine to compile; the exec pin is
-            // inert and they are admitted on trust exactly as before.
-            lph_trace::add("serve/admitted_uncertified", 1);
-            return Ok(false);
-        };
-        let cost = certified_cost(steps, entry.declared_rounds, n);
-        if cost > self.max_cost {
-            lph_trace::add("serve/rejected_over_budget", 1);
-            return Err(Rejection::over_budget(
-                format!(
-                    "bytecode-certified bound {steps} prices {} at n={n} nodes x {} rounds = {cost} steps, over budget {}",
+                    "{tier} bound {steps} prices {} at n={n} nodes x {} rounds = {cost} steps, over budget {}",
                     entry.key, entry.declared_rounds, self.max_cost
                 ),
                 cost,
@@ -248,13 +195,13 @@ mod tests {
             max_cost: cost,
             max_nodes: 512,
         };
-        assert!(at.admit_membership(&entry, n, TmBackend::Auto).unwrap());
+        assert!(at.admit_membership(entry, n, TmBackend::Auto).unwrap());
         let below = Admission {
             max_cost: cost - 1,
             max_nodes: 512,
         };
         let rej = below
-            .admit_membership(&entry, n, TmBackend::Auto)
+            .admit_membership(entry, n, TmBackend::Auto)
             .unwrap_err();
         assert_eq!(rej.code, "over_budget");
         assert_eq!(rej.cost, cost);
@@ -269,9 +216,9 @@ mod tests {
             max_cost: 1, // would shed any certified request
             max_nodes: 16,
         };
-        assert!(!adm.admit_membership(&entry, 5, TmBackend::Auto).unwrap());
+        assert!(!adm.admit_membership(entry, 5, TmBackend::Auto).unwrap());
         let rej = adm
-            .admit_membership(&entry, 17, TmBackend::Auto)
+            .admit_membership(entry, 17, TmBackend::Auto)
             .unwrap_err();
         assert_eq!((rej.cost, rej.budget), (17, 16));
         assert!(rej.bound.is_none());
@@ -288,7 +235,7 @@ mod tests {
             max_nodes: 512,
         };
         let rej = below
-            .admit_membership(&entry, n, TmBackend::Compiled)
+            .admit_membership(entry, n, TmBackend::Compiled)
             .unwrap_err();
         assert_eq!(rej.code, "over_budget");
         assert_eq!(rej.cost, cost);
@@ -297,28 +244,6 @@ mod tests {
             max_cost: cost,
             max_nodes: 512,
         };
-        assert!(at.admit_membership(&entry, n, TmBackend::Compiled).unwrap());
-    }
-
-    #[test]
-    fn unverified_bytecode_is_refused_compiled_execution() {
-        let mut entry = find_arbiter("eulerian_decider").unwrap();
-        // Simulate a compiled artifact the translation validators
-        // rejected at registry construction.
-        entry.bytecode_certified_steps = None;
-        entry.bytecode_findings = vec!["VM001".to_owned(), "VM003".to_owned()];
-        let adm = Admission::default();
-        let rej = adm
-            .admit_membership(&entry, 8, TmBackend::Compiled)
-            .unwrap_err();
-        assert_eq!(rej.code, "unverified_bytecode");
-        assert_eq!(rej.findings, vec!["VM001", "VM003"]);
-        let fields = rej.extra_fields();
-        assert_eq!(fields.len(), 1);
-        assert_eq!(fields[0].0, "findings");
-        // The interpreted tier is unaffected.
-        assert!(adm
-            .admit_membership(&entry, 8, TmBackend::Interpreted)
-            .unwrap());
+        assert!(at.admit_membership(entry, n, TmBackend::Compiled).unwrap());
     }
 }

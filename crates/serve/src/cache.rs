@@ -35,16 +35,28 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use lph_graphs::{are_isomorphic, LabeledGraph};
+use lph_graphs::{are_isomorphic, BitString, LabeledGraph};
 
 use crate::proto::Payload;
 
-/// One cached iso-class representative.
+/// One cached iso-class representative, stored as label text and an
+/// edge list — two allocations instead of two per node, because
+/// representatives are most of an unbounded cache's memory.
 struct Slot {
-    rep: LabeledGraph,
+    /// Node labels as `0`/`1` text, comma-separated in node order.
+    labels: String,
+    edges: Vec<(usize, usize)>,
     payload: Payload,
     /// Logical timestamp of the last lookup hit or the insertion.
     last_used: u64,
+}
+
+impl Slot {
+    /// Rebuilds the representative for the exact isomorphism check.
+    fn rep(&self) -> LabeledGraph {
+        let labels = self.labels.split(',').map(BitString::from_bits01).collect();
+        LabeledGraph::from_edges(labels, &self.edges).expect("stored from a valid graph")
+    }
 }
 
 #[derive(Default)]
@@ -103,7 +115,7 @@ impl IsoCache {
         let hit = inner
             .buckets
             .get_mut(key)
-            .and_then(|b| b.iter_mut().find(|s| are_isomorphic(&s.rep, g)))
+            .and_then(|b| b.iter_mut().find(|s| are_isomorphic(&s.rep(), g)))
             .map(|s| {
                 s.last_used = tick;
                 s.payload.clone()
@@ -129,7 +141,7 @@ impl IsoCache {
         let already = inner
             .buckets
             .get(&key)
-            .is_some_and(|b| b.iter().any(|s| are_isomorphic(&s.rep, &g)));
+            .is_some_and(|b| b.iter().any(|s| are_isomorphic(&s.rep(), &g)));
         if already {
             return;
         }
@@ -142,8 +154,14 @@ impl IsoCache {
         inner.tick += 1;
         let last_used = inner.tick;
         inner.len += 1;
+        let labels: Vec<String> = g
+            .labels()
+            .iter()
+            .map(|l| l.iter().map(|b| if b { '1' } else { '0' }).collect())
+            .collect();
         inner.buckets.entry(key).or_default().push(Slot {
-            rep: g,
+            labels: labels.join(","),
+            edges: g.edges().map(|(u, v)| (u.0, v.0)).collect(),
             payload,
             last_used,
         });
@@ -208,6 +226,15 @@ mod tests {
         cache.insert(ka, a, payload("verdict"));
         assert_eq!(cache.lookup(&kb, &b).unwrap(), payload("verdict"));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn stored_representatives_keep_empty_and_multi_bit_labels() {
+        let cache = IsoCache::new();
+        let a = generators::labeled_path(&["", "10", "0"]);
+        let b = generators::labeled_path(&["0", "10", ""]);
+        cache.insert(bucket_key("m", &a), a, payload("p"));
+        assert_eq!(cache.lookup(&bucket_key("m", &b), &b), Some(payload("p")));
     }
 
     #[test]

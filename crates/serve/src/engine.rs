@@ -2,9 +2,9 @@
 //! response lines.
 //!
 //! One [`Engine`] is shared by every connection (and by the in-process
-//! benchmarks); it is `Sync` — the registry is consulted through
-//! factories, the iso-cache locks internally, and game decisions are
-//! pure. Batches go through [`lph_runtime::par_map_threshold`], whose
+//! benchmarks); it is `Sync` — the registry is one shared, immutable
+//! table whose factories build per-request artifacts, the iso-cache
+//! locks internally, and game decisions are pure. Batches go through [`lph_runtime::par_map_threshold`], whose
 //! order guarantee *is* the protocol's ordering guarantee: response `i`
 //! of a batch answers request `i`, whatever the worker interleaving.
 
@@ -124,7 +124,7 @@ impl Engine {
                 if let Err(rej) =
                     self.config
                         .admission
-                        .admit_membership(&entry, graph.node_count(), *exec)
+                        .admit_membership(entry, graph.node_count(), *exec)
                 {
                     return error_line(Some(id), rej.code, &rej.detail, &rej.extra_fields());
                 }

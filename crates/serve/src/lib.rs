@@ -27,7 +27,8 @@
 //!   byte-identical to cold verdicts;
 //! * [`admission`] control: requests against TM-backed arbiters are
 //!   priced with the flow tier's *certified* Lemma 10 step polynomials,
-//!   and a request over budget is shed up front with a structured
+//!   derived once per process when the [`registry`] is built, and a
+//!   request over budget is shed up front with a structured
 //!   `over_budget` error — the machine-checked certificates double as
 //!   load-shedding policy.
 //!

@@ -4,26 +4,28 @@
 //! Keys are stable snake-case slugs (they appear verbatim in
 //! `PROTOCOL.md`). The registry mirrors the analyzer's built-in corpus
 //! ([`lph_analysis::corpus::builtin`]) — same artifacts, same claims — but
-//! holds *factories* instead of constructed artifacts so each request
-//! builds its own arbiter (arbiters are not `Sync`; the batch workers each
-//! construct from the factory).
+//! holds *factories* instead of constructed artifacts, so each request
+//! builds its own arbiter. The table is built once per process, on first
+//! use, and every lookup borrows it.
 //!
-//! For TM-backed arbiters the registry runs the flow tier's machine
-//! analysis once at construction and records the certified Lemma 10
-//! per-round step polynomial; admission control prices requests with it.
-//! Closure-backed (Local) arbiters have no certificate — they are marked
-//! uncertified and the engine counts their admissions separately.
+//! For TM-backed arbiters construction runs the flow tier's machine
+//! analysis and records the certified Lemma 10 per-round step polynomial;
+//! admission control prices requests with it. Closure-backed (Local)
+//! arbiters have no certificate — they are marked uncertified and the
+//! engine counts their admissions separately.
 //!
 //! The compiled execution tier gets the same treatment one level down:
-//! the registry compiles each TM arbiter to [`lph_machine::CompiledTm`]
+//! construction compiles each TM arbiter to [`lph_machine::CompiledTm`]
 //! bytecode, runs the translation validators (`VM001`–`VM004`) against
-//! it, and — only when they all pass — records the step polynomial
-//! re-derived *from the bytecode* by
-//! [`lph_analysis::analyze_bytecode`]. Requests that pin
-//! `"exec":"compiled"` are priced from that bound; when validation fails
-//! the failed rule codes are kept so admission can reject compiled
-//! execution with a structured `unverified_bytecode` error instead of
-//! running unverified code.
+//! it, and records the step polynomial re-derived *from the bytecode* by
+//! [`lph_analysis::analyze_bytecode`]; requests that pin
+//! `"exec":"compiled"` are priced from that bound. Validation is a
+//! construction invariant: a finding panics with the failed rule codes,
+//! and `lph-serve` builds the registry before it serves, so unverified
+//! bytecode stops the server at startup instead of reaching any
+//! execution tier.
+
+use std::sync::OnceLock;
 
 use lph_analysis::flow::bytecode::{analyze_bytecode, verify_bytecode};
 use lph_analysis::flow::machine::analyze;
@@ -57,13 +59,9 @@ pub struct ArbiterEntry {
     /// Certified per-round step polynomial from the flow tier, for
     /// TM-backed arbiters whose analysis produced a bound.
     pub certified_steps: Option<PolyBound>,
-    /// Step polynomial re-derived from the compiled bytecode, present
-    /// only when every translation validator (`VM001`–`VM004`) passed.
+    /// Step polynomial re-derived from the compiled (and validated)
+    /// bytecode, for TM-backed arbiters whose analysis produced a bound.
     pub bytecode_certified_steps: Option<PolyBound>,
-    /// Rule codes the translation validators fired on the compiled
-    /// artifact (empty for verified and for Local arbiters). Non-empty
-    /// means `"exec":"compiled"` requests are rejected.
-    pub bytecode_findings: Vec<String>,
 }
 
 /// A registered reduction.
@@ -82,7 +80,7 @@ fn entry(
 ) -> ArbiterEntry {
     let a = factory();
     let spec = a.spec();
-    let (certified_steps, bytecode_certified_steps, bytecode_findings) = match a.kind() {
+    let (certified_steps, bytecode_certified_steps) = match a.kind() {
         ArbiterKind::Tm(tm) => {
             let flow = analyze(tm);
             let compiled = CompiledTm::compile(tm);
@@ -91,14 +89,14 @@ fn entry(
                 .into_iter()
                 .map(|d| d.code)
                 .collect();
-            let bytecode_steps = if findings.is_empty() {
-                analyze_bytecode(&compiled).steps
-            } else {
-                None
-            };
-            (flow.steps, bytecode_steps, findings)
+            assert!(
+                findings.is_empty(),
+                "{key}: compiled artifact fails translation validation ({})",
+                findings.join(", ")
+            );
+            (flow.steps, analyze_bytecode(&compiled).steps)
         }
-        ArbiterKind::Local(_) => (None, None, Vec::new()),
+        ArbiterKind::Local(_) => (None, None),
     };
     ArbiterEntry {
         key,
@@ -113,7 +111,6 @@ fn entry(
         },
         certified_steps,
         bytecode_certified_steps,
-        bytecode_findings,
     }
 }
 
@@ -131,7 +128,16 @@ fn lfo_three_colorable() -> Box<dyn LocalReduction + Send + Sync> {
 
 /// Every arbiter the service answers `membership` and `lint` queries for.
 /// Claims are copied from the analyzer corpus and cross-checked by a test.
-pub fn arbiter_entries() -> Vec<ArbiterEntry> {
+///
+/// # Panics
+///
+/// On the first call, if a compiled artifact fails `VM001`–`VM004`.
+pub fn arbiter_entries() -> &'static [ArbiterEntry] {
+    static ENTRIES: OnceLock<Vec<ArbiterEntry>> = OnceLock::new();
+    ENTRIES.get_or_init(build_arbiters)
+}
+
+fn build_arbiters() -> Vec<ArbiterEntry> {
     vec![
         entry(
             "all_selected_decider",
@@ -176,7 +182,12 @@ pub fn arbiter_entries() -> Vec<ArbiterEntry> {
 }
 
 /// Every reduction the service answers `reduction` and `lint` queries for.
-pub fn reduction_entries() -> Vec<ReductionEntry> {
+pub fn reduction_entries() -> &'static [ReductionEntry] {
+    static ENTRIES: OnceLock<Vec<ReductionEntry>> = OnceLock::new();
+    ENTRIES.get_or_init(build_reductions)
+}
+
+fn build_reductions() -> Vec<ReductionEntry> {
     vec![
         ReductionEntry {
             key: "all_selected_to_eulerian",
@@ -210,13 +221,13 @@ pub fn reduction_entries() -> Vec<ReductionEntry> {
 }
 
 /// Looks up an arbiter entry by wire key.
-pub fn find_arbiter(key: &str) -> Option<ArbiterEntry> {
-    arbiter_entries().into_iter().find(|e| e.key == key)
+pub fn find_arbiter(key: &str) -> Option<&'static ArbiterEntry> {
+    arbiter_entries().iter().find(|e| e.key == key)
 }
 
 /// Looks up a reduction entry by wire key.
-pub fn find_reduction(key: &str) -> Option<ReductionEntry> {
-    reduction_entries().into_iter().find(|e| e.key == key)
+pub fn find_reduction(key: &str) -> Option<&'static ReductionEntry> {
+    reduction_entries().iter().find(|e| e.key == key)
 }
 
 #[cfg(test)]
@@ -270,12 +281,6 @@ mod tests {
     #[test]
     fn shipped_bytecode_verifies_and_matches_the_interpreter_tier() {
         for e in arbiter_entries() {
-            assert!(
-                e.bytecode_findings.is_empty(),
-                "{}: compiled tier fails {:?}",
-                e.key,
-                e.bytecode_findings
-            );
             // Where the interpreter tier certifies a bound, the bytecode
             // tier must too, and the bounds must agree at sample sizes
             // (VM004 pins mutual domination at construction).
@@ -289,6 +294,14 @@ mod tests {
                 (a, b) => panic!("{}: tier mismatch {a:?} vs {b:?}", e.key),
             }
         }
+    }
+
+    #[test]
+    fn lookups_borrow_the_one_registry() {
+        let arbiter = || find_arbiter("eulerian_decider").unwrap();
+        assert!(std::ptr::eq(arbiter(), arbiter()));
+        let reduction = || find_reduction("all_selected_to_eulerian").unwrap();
+        assert!(std::ptr::eq(reduction(), reduction()));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! single-request latency, and either way responses come back in request
 //! order, one line each.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -115,6 +115,12 @@ fn string_of(bytes: Vec<u8>) -> String {
 
 /// Serves one connection (any `Read`/`Write` pair) until EOF.
 ///
+/// Each response reaches the transport as one write, its newline
+/// included: a separate newline write would wait behind Nagle's algorithm
+/// for the peer's delayed ACK (~40 ms on TCP), even for a lone request.
+/// Within a pipelined batch the responses after the first still wait for
+/// the ACK of the first.
+///
 /// # Errors
 ///
 /// Propagates transport I/O errors; protocol-level problems are answered
@@ -123,9 +129,10 @@ pub fn serve_connection<R: Read, W: Write>(
     engine: &Engine,
     config: &ServerConfig,
     input: R,
-    mut output: W,
+    output: W,
 ) -> io::Result<()> {
     let mut reader = BufReader::new(input);
+    let mut output = BufWriter::new(output);
     loop {
         // One blocking read, then drain whatever else already arrived.
         let first = match read_line_bounded(&mut reader, config.max_line_bytes)? {
@@ -165,8 +172,8 @@ pub fn serve_connection<R: Read, W: Write>(
             }
             output.write_all(response.as_bytes())?;
             output.write_all(b"\n")?;
+            output.flush()?;
         }
-        output.flush()?;
     }
 }
 
@@ -295,6 +302,43 @@ mod tests {
                 Json::Str("c".to_owned())
             ]
         );
+    }
+
+    /// A `Write` that counts the writes reaching it.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_transport_write() {
+        let engine = Engine::new(EngineConfig::default());
+        let line =
+            r#"{"id":"a","kind":"membership","arbiter":"nope","graph":{"family":"cycle","n":3}}"#;
+        let input = format!("{line}\n{line}\n{line}\n");
+        let mut out = CountingWriter::default();
+        serve_connection(
+            &engine,
+            &ServerConfig::default(),
+            input.as_bytes(),
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(String::from_utf8(out.bytes).unwrap().lines().count(), 3);
+        assert_eq!(out.writes, 3, "one write per response");
     }
 
     #[test]

