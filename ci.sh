@@ -107,8 +107,9 @@ stage_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # longer has (they were replaced by the seeded-XorShift suites and the
 # lph-bench shim) and to deleted APIs and trace names (the par_find_first
 # and par_reduce entry points, EvalBackend, the DPLL solver, the pool's
-# queue counters, the per-request unverified-bytecode refusal); naming
-# any of them in the docs is a doc rot bug.
+# queue counters, the per-request unverified-bytecode refusal, the batch
+# threshold and its --min-parallel flag, the CDCL restart/decay knobs);
+# naming any of them in the docs is a doc rot bug.
 stage_trace_smoke() {
   local out="$PWD/trace_smoke.json"
   rm -f "$out"
@@ -116,7 +117,7 @@ stage_trace_smoke() {
   cargo run --release --bin bench-gate -- --validate-trace "$out"
   rm -f "$out"
   local banned
-  if banned=$(grep -inE 'criterion|proptest|par_find_first|par_reduce|EvalBackend|dpll_sat|queue_depth|pool/waits|unverified_bytecode|bytecode_findings|admit_compiled' \
+  if banned=$(grep -inE 'criterion|proptest|par_find_first|par_reduce|EvalBackend|dpll_sat|queue_depth|pool/waits|unverified_bytecode|bytecode_findings|admit_compiled|par_map_threshold|min-parallel|min_parallel|restart_unit|var_decay' \
     README.md EXPERIMENTS.md PROTOCOL.md DESIGN.md); then
     echo "trace-smoke: stale references in the docs:" >&2
     echo "$banned" >&2

@@ -5,13 +5,19 @@
 //! `lph-lint` runs the full rule set over [`builtin`]; the tier-1 test
 //! `tests/lint_corpus.rs` asserts the result is empty.
 //!
+//! Arbiters and reductions are declared once, in the [`ARBITERS`] and
+//! [`REDUCTIONS`] tables: wire key, factory, claims and probes. [`builtin`]
+//! builds its artifacts from them, and `lph-serve` derives its registry
+//! from the same tables, so the class and round count admission prices a
+//! request with are the ones `ARB001`/`ARB002` check.
+//!
 //! Only *formal artifacts* — objects carrying paper-level claims —
 //! register here. Infrastructure (`lph-runtime`, `lph-trace`) registers
 //! nothing: tracing instruments several corpus reductions, but a
 //! recorder has no claim a lint rule could recompute, and the
 //! instrumented reductions stay lint-clean with tracing on or off.
 
-use lph_core::arbiters;
+use lph_core::{arbiters, Arbiter};
 use lph_graphs::{generators, IdAssignment, LabeledGraph, PolyBound};
 use lph_logic::examples;
 use lph_machine::machines;
@@ -22,6 +28,7 @@ use lph_reductions::{
     hamiltonian::{AllSelectedToHamiltonian, NotAllSelectedToHamiltonian},
     sat_to_three_sat::SatGraphToThreeSatGraph,
     three_col::ThreeSatGraphToThreeColorable,
+    LocalReduction,
 };
 
 use crate::contract::{self, ArbiterArtifact, ClusterMapArtifact, ReductionArtifact};
@@ -80,8 +87,187 @@ fn three_sat_graph_probe() -> LabeledGraph {
     three_g
 }
 
+/// Probes for the deciders and colorability verifiers: a 4-cycle and a
+/// triangle.
+fn cycle_and_triangle_probes() -> Vec<LabeledGraph> {
+    vec![generators::cycle(4), generators::complete(3)]
+}
+
+/// A shipped arbiter, declared once: its wire key, how to build it, the
+/// claims `ARB001`/`ARB002` check, and the inputs the lint tier replays.
+/// [`builtin`] builds its [`ArbiterArtifact`] from this entry, and
+/// `lph-serve` its registry entry.
+pub struct ArbiterDecl {
+    /// The stable snake-case key clients name the arbiter by.
+    pub key: &'static str,
+    /// Builds a fresh arbiter.
+    pub factory: fn() -> Arbiter,
+    /// Claimed decision class, e.g. `"Σ1"` (see
+    /// [`ArbiterArtifact::claimed_class`]).
+    pub claimed_class: &'static str,
+    /// Declared upper bound on communication rounds per run.
+    pub declared_rounds: usize,
+    /// Builds the labeled probe inputs.
+    pub probes: fn() -> Vec<LabeledGraph>,
+    /// Builds the game claims (`SAT001`–`SAT003`).
+    pub game_claims: fn() -> Vec<GameClaim>,
+}
+
+/// A shipped local reduction, declared once: its wire key, how to build
+/// it, and the inputs the lint tier replays.
+pub struct ReductionDecl {
+    /// The stable snake-case key clients name the reduction by.
+    pub key: &'static str,
+    /// Builds a fresh reduction.
+    pub factory: fn() -> Box<dyn LocalReduction + Send + Sync>,
+    /// Builds the labeled probe inputs.
+    pub probes: fn() -> Vec<LabeledGraph>,
+}
+
+/// Every shipped arbiter, in corpus (and `list`) order.
+pub static ARBITERS: &[ArbiterDecl] = &[
+    ArbiterDecl {
+        key: "all_selected_decider",
+        factory: arbiters::all_selected_decider,
+        claimed_class: "Σ0",
+        declared_rounds: 1,
+        probes: selected_probes,
+        game_claims: Vec::new,
+    },
+    ArbiterDecl {
+        key: "eulerian_decider",
+        factory: arbiters::eulerian_decider,
+        claimed_class: "Σ0",
+        declared_rounds: 1,
+        probes: cycle_and_triangle_probes,
+        game_claims: Vec::new,
+    },
+    ArbiterDecl {
+        key: "three_colorable_verifier",
+        factory: arbiters::three_colorable_verifier,
+        claimed_class: "Σ1",
+        declared_rounds: 2,
+        probes: cycle_and_triangle_probes,
+        game_claims: Vec::new,
+    },
+    ArbiterDecl {
+        key: "two_colorable_verifier",
+        factory: arbiters::two_colorable_verifier,
+        claimed_class: "Σ1",
+        declared_rounds: 2,
+        probes: || vec![generators::cycle(4), generators::path(3)],
+        // Σ₁-no claim: an odd cycle is not 2-colorable, so the CDCL
+        // backend must refute Eve's witness search — and `SAT001`
+        // demands the refutation pass the independent RUP checker.
+        game_claims: || {
+            vec![
+                GameClaim::new("odd 5-cycle (not 2-colorable)", generators::cycle(5), false),
+                GameClaim::new("even 4-cycle (2-colorable)", generators::cycle(4), true),
+            ]
+        },
+    },
+    ArbiterDecl {
+        key: "sat_graph_verifier",
+        factory: arbiters::sat_graph_verifier,
+        claimed_class: "Σ1",
+        declared_rounds: 2,
+        probes: || vec![sat_graph_probe()],
+        game_claims: Vec::new,
+    },
+    ArbiterDecl {
+        key: "all_selected_pi1",
+        factory: arbiters::all_selected_pi1,
+        claimed_class: "Π1",
+        declared_rounds: 1,
+        probes: selected_probes,
+        // Π₁-yes claim: on an all-selected cycle Adam has no
+        // refutation, so Eve's win *is* an UNSAT answer — the
+        // deliberately-unsatisfiable instance that pins the checked
+        // refutation path. The partially-selected path is the SAT
+        // side (Adam's rejection play is found and replayed).
+        game_claims: || {
+            vec![
+                GameClaim::new(
+                    "all-selected 5-cycle (Adam has no play)",
+                    generators::labeled_cycle(&["1", "1", "1", "1", "1"]),
+                    true,
+                ),
+                GameClaim::new(
+                    "partially-selected 2-path",
+                    generators::labeled_path(&["1", "0"]),
+                    false,
+                ),
+            ]
+        },
+    },
+    ArbiterDecl {
+        key: "not_all_selected_sigma3",
+        factory: arbiters::not_all_selected_sigma3,
+        claimed_class: "Σ3",
+        declared_rounds: 2,
+        probes: selected_probes,
+        game_claims: Vec::new,
+    },
+    ArbiterDecl {
+        key: "distance_to_unselected_verifier",
+        factory: || arbiters::distance_to_unselected_verifier(2),
+        claimed_class: "Σ1",
+        declared_rounds: 2,
+        probes: selected_probes,
+        game_claims: Vec::new,
+    },
+    ArbiterDecl {
+        key: "pointer_to_unselected_verifier",
+        factory: arbiters::pointer_to_unselected_verifier,
+        claimed_class: "Σ1",
+        declared_rounds: 2,
+        probes: selected_probes,
+        game_claims: Vec::new,
+    },
+];
+
+/// Every shipped local reduction, in corpus (and `list`) order.
+pub static REDUCTIONS: &[ReductionDecl] = &[
+    ReductionDecl {
+        key: "all_selected_to_eulerian",
+        factory: || Box::new(AllSelectedToEulerian),
+        probes: selected_probes,
+    },
+    ReductionDecl {
+        key: "all_selected_to_hamiltonian",
+        factory: || Box::new(AllSelectedToHamiltonian),
+        probes: selected_probes,
+    },
+    ReductionDecl {
+        key: "not_all_selected_to_hamiltonian",
+        factory: || Box::new(NotAllSelectedToHamiltonian),
+        probes: selected_probes,
+    },
+    ReductionDecl {
+        key: "lfo_all_selected_to_sat_graph",
+        factory: || Box::new(LfoToSatGraph::new(examples::all_selected())),
+        probes: selected_probes,
+    },
+    ReductionDecl {
+        key: "lfo_three_colorable_to_sat_graph",
+        factory: || Box::new(LfoToSatGraph::new(examples::three_colorable())),
+        probes: selected_probes,
+    },
+    ReductionDecl {
+        key: "sat_graph_to_three_sat_graph",
+        factory: || Box::new(SatGraphToThreeSatGraph),
+        probes: || vec![sat_graph_probe()],
+    },
+    ReductionDecl {
+        key: "three_sat_graph_to_three_colorable",
+        factory: || Box::new(ThreeSatGraphToThreeColorable),
+        probes: || vec![three_sat_graph_probe()],
+    },
+];
+
 /// The built-in corpus, with the claims stated in each artifact's
-/// documentation.
+/// documentation: the machines and sentences below, plus one artifact per
+/// [`ARBITERS`] and [`REDUCTIONS`] entry.
 pub fn builtin() -> Corpus {
     // The step/space claims below are checked against the abstract
     // interpreter's derived certificates by `DTM009`: each claim must
@@ -131,68 +317,18 @@ pub fn builtin() -> Corpus {
         SentenceArtifact::new("hamiltonian", examples::hamiltonian(), "Σ5").with_radius(4),
         SentenceArtifact::new("non_hamiltonian", examples::non_hamiltonian(), "Π4").with_radius(4),
     ];
-    let arbiters = vec![
-        ArbiterArtifact::new(arbiters::all_selected_decider(), "Σ0", 1)
-            .with_probes(selected_probes()),
-        ArbiterArtifact::new(arbiters::eulerian_decider(), "Σ0", 1)
-            .with_probes(vec![generators::cycle(4), generators::complete(3)]),
-        ArbiterArtifact::new(arbiters::three_colorable_verifier(), "Σ1", 2)
-            .with_probes(vec![generators::cycle(4), generators::complete(3)]),
-        ArbiterArtifact::new(arbiters::two_colorable_verifier(), "Σ1", 2)
-            .with_probes(vec![generators::cycle(4), generators::path(3)])
-            // Σ₁-no claim: an odd cycle is not 2-colorable, so the CDCL
-            // backend must refute Eve's witness search — and `SAT001`
-            // demands the refutation pass the independent RUP checker.
-            .with_game_claims(vec![
-                GameClaim::new("odd 5-cycle (not 2-colorable)", generators::cycle(5), false),
-                GameClaim::new("even 4-cycle (2-colorable)", generators::cycle(4), true),
-            ]),
-        ArbiterArtifact::new(arbiters::sat_graph_verifier(), "Σ1", 2)
-            .with_probes(vec![sat_graph_probe()]),
-        ArbiterArtifact::new(arbiters::all_selected_pi1(), "Π1", 1)
-            .with_probes(selected_probes())
-            // Π₁-yes claim: on an all-selected cycle Adam has no
-            // refutation, so Eve's win *is* an UNSAT answer — the
-            // deliberately-unsatisfiable instance that pins the checked
-            // refutation path. The partially-selected path is the SAT
-            // side (Adam's rejection play is found and replayed).
-            .with_game_claims(vec![
-                GameClaim::new(
-                    "all-selected 5-cycle (Adam has no play)",
-                    generators::labeled_cycle(&["1", "1", "1", "1", "1"]),
-                    true,
-                ),
-                GameClaim::new(
-                    "partially-selected 2-path",
-                    generators::labeled_path(&["1", "0"]),
-                    false,
-                ),
-            ]),
-        ArbiterArtifact::new(arbiters::not_all_selected_sigma3(), "Σ3", 2)
-            .with_probes(selected_probes()),
-        ArbiterArtifact::new(arbiters::distance_to_unselected_verifier(2), "Σ1", 2)
-            .with_probes(selected_probes()),
-        ArbiterArtifact::new(arbiters::pointer_to_unselected_verifier(), "Σ1", 2)
-            .with_probes(selected_probes()),
-    ];
-    let reductions = vec![
-        ReductionArtifact::new(Box::new(AllSelectedToEulerian), selected_probes()),
-        ReductionArtifact::new(Box::new(AllSelectedToHamiltonian), selected_probes()),
-        ReductionArtifact::new(Box::new(NotAllSelectedToHamiltonian), selected_probes()),
-        ReductionArtifact::new(
-            Box::new(LfoToSatGraph::new(examples::all_selected())),
-            selected_probes(),
-        ),
-        ReductionArtifact::new(
-            Box::new(LfoToSatGraph::new(examples::three_colorable())),
-            selected_probes(),
-        ),
-        ReductionArtifact::new(Box::new(SatGraphToThreeSatGraph), vec![sat_graph_probe()]),
-        ReductionArtifact::new(
-            Box::new(ThreeSatGraphToThreeColorable),
-            vec![three_sat_graph_probe()],
-        ),
-    ];
+    let arbiters = ARBITERS
+        .iter()
+        .map(|d| {
+            ArbiterArtifact::new((d.factory)(), d.claimed_class, d.declared_rounds)
+                .with_probes((d.probes)())
+                .with_game_claims((d.game_claims)())
+        })
+        .collect();
+    let reductions = REDUCTIONS
+        .iter()
+        .map(|d| ReductionArtifact::new((d.factory)(), (d.probes)()))
+        .collect();
     Corpus {
         dtms,
         sentences,

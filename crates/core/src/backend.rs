@@ -490,7 +490,6 @@ fn decide_game_cdcl(
         SolverConfig {
             max_conflicts: Some(limits.max_runs),
             proof_log: true,
-            ..SolverConfig::default()
         },
     );
     let eve_moves_first = spec.first == Player::Eve;

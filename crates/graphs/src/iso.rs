@@ -46,14 +46,6 @@ pub fn find_isomorphism(a: &LabeledGraph, b: &LabeledGraph) -> Option<Vec<NodeId
         return None;
     }
     // Degree/label multiset pruning.
-    let signature = |g: &LabeledGraph| {
-        let mut s: Vec<(usize, BitString)> = g
-            .nodes()
-            .map(|u| (g.degree(u), g.label(u).clone()))
-            .collect();
-        s.sort();
-        s
-    };
     if signature(a) != signature(b) {
         return None;
     }

@@ -11,11 +11,11 @@
 //!   `threads() − 1` spawned workers claim the next contiguous chunk with
 //!   one atomic `fetch_add` (self-scheduling — load balances even when
 //!   per-item cost is wildly uneven, as in isomorphism search);
-//! * [`par_map`], [`par_map_index`], [`par_map_threshold`],
-//!   [`par_filter_map_index`] and [`par_flat_map`], every one of which
-//!   **returns exactly what the sequential left-to-right loop returns** —
-//!   chunk results are merged in index order, so parallelism never
-//!   changes an answer, only the time it takes to compute;
+//! * [`par_map`], [`par_map_index`], [`par_filter_map_index`] and
+//!   [`par_flat_map`], every one of which **returns exactly what the
+//!   sequential left-to-right loop returns** — chunk results are merged
+//!   in index order, so parallelism never changes an answer, only the
+//!   time it takes to compute;
 //! * panic propagation: a panic on any worker is captured and re-raised
 //!   with its original payload on the calling thread;
 //! * runtime thread-count control: the `LPH_THREADS` environment variable
@@ -45,7 +45,4 @@
 
 mod pool;
 
-pub use pool::{
-    par_filter_map_index, par_flat_map, par_map, par_map_index, par_map_threshold, set_threads,
-    threads,
-};
+pub use pool::{par_filter_map_index, par_flat_map, par_map, par_map_index, set_threads, threads};

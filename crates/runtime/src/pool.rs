@@ -99,7 +99,9 @@ where
     U: Send,
     C: Fn(Range<usize>) -> Vec<U> + Sync,
 {
-    let workers = threads().min(len);
+    // Fewer than two items cannot be split: skip resolving the width (and
+    // its hardware probe).
+    let workers = if len < 2 { 1 } else { threads().min(len) };
     if workers <= 1 {
         return chunk(0..len);
     }
@@ -184,26 +186,6 @@ where
     par_map_index(items.len(), |i| f(&items[i]))
 }
 
-/// [`par_map`] that stays sequential below a batch-size threshold.
-///
-/// Latency-sensitive callers (the `lph-serve` request batcher) use this
-/// instead of [`par_map`]: a fork/join region costs worker spawns, which
-/// dominate tiny batches. Below `min_parallel` items the call is exactly
-/// the sequential map on the calling thread; at or above it, exactly
-/// [`par_map`] — either way the output order is the input order.
-pub fn par_map_threshold<T, U, F>(min_parallel: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    if items.len() < min_parallel {
-        items.iter().map(f).collect()
-    } else {
-        par_map(items, f)
-    }
-}
-
 /// Filter-maps `f` over `0..len`, keeping survivors in index order —
 /// exactly `(0..len).filter_map(f).collect()`. Memory stays proportional
 /// to the *kept* results, which is what makes it the right shape for
@@ -255,9 +237,6 @@ mod tests {
             set_threads(workers);
             assert_eq!(par_map(&items, |&x| x * x + 1), map);
             assert_eq!(par_map_index(997, |x| x * x + 1), map);
-            // Below the threshold (sequential path) and above it.
-            assert_eq!(par_map_threshold(1000, &items, |&x| x * x + 1), map);
-            assert_eq!(par_map_threshold(2, &items, |&x| x * x + 1), map);
             let par = par_filter_map_index(997, |i| (i % 7 == 0).then_some(i));
             assert_eq!(par, kept);
             assert_eq!(par_flat_map(&items, |&i| vec![i; i % 3]), flat);

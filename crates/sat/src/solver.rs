@@ -2,34 +2,26 @@ use crate::cnf::{Cnf, Lit};
 use crate::luby::luby;
 use crate::proof::ProofLog;
 
-/// Tuning knobs of the CDCL search.
-#[derive(Debug, Clone)]
+/// Luby restart unit: restart `k` happens after `RESTART_UNIT · luby(k)`
+/// conflicts of run `k`.
+const RESTART_UNIT: u64 = 64;
+
+/// Geometric VSIDS decay per conflict (the activity increment grows by
+/// `1/VAR_DECAY`).
+const VAR_DECAY: f64 = 0.95;
+
+/// Options of the CDCL search. The default never gives up and logs no
+/// proof.
+#[derive(Debug, Clone, Default)]
 pub struct SolverConfig {
     /// Give up (returning [`SolveOutcome::Unknown`]) after this many
     /// conflicts in one [`Solver::solve`] call. `None` never gives up.
     pub max_conflicts: Option<u64>,
-    /// Luby restart unit: restart `k` happens after `unit · luby(k)`
-    /// conflicts of run `k`.
-    pub restart_unit: u64,
-    /// Geometric VSIDS decay per conflict (activity increment grows by
-    /// `1/decay`).
-    pub var_decay: f64,
     /// Record a [`ProofLog`] of every learned clause (and the final empty
     /// clause on `Unsat`), retrievable via [`Solver::proof`]. Off by
     /// default; when off the only cost is one `Option` check per learned
     /// clause.
     pub proof_log: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            max_conflicts: None,
-            restart_unit: 64,
-            var_decay: 0.95,
-            proof_log: false,
-        }
-    }
 }
 
 /// What a [`Solver::solve`] call concluded.
@@ -337,7 +329,7 @@ impl Solver {
     }
 
     fn decay(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     /// Propagates every queued assignment; returns the conflicting clause
@@ -539,7 +531,7 @@ impl Solver {
         }
         let mut budget = self.config.max_conflicts;
         let mut run_conflicts = 0u64;
-        let mut run_limit = self.config.restart_unit * luby(self.stats.restarts + 1);
+        let mut run_limit = RESTART_UNIT * luby(self.stats.restarts + 1);
         loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
@@ -566,7 +558,7 @@ impl Solver {
                 if run_conflicts >= run_limit {
                     self.stats.restarts += 1;
                     run_conflicts = 0;
-                    run_limit = self.config.restart_unit * luby(self.stats.restarts + 1);
+                    run_limit = RESTART_UNIT * luby(self.stats.restarts + 1);
                     self.cancel_until(0);
                 }
             } else if self.trail.len() == self.num_vars {
@@ -868,7 +860,6 @@ mod tests {
             SolverConfig {
                 max_conflicts: Some(5),
                 proof_log: true,
-                ..SolverConfig::default()
             },
         );
         let mut rounds = 0;
@@ -897,13 +888,7 @@ mod tests {
     #[test]
     fn restarts_happen_on_hard_instances() {
         let cnf = pigeonhole(6);
-        let mut s = Solver::with_config(
-            &cnf,
-            SolverConfig {
-                restart_unit: 8,
-                ..SolverConfig::default()
-            },
-        );
+        let mut s = Solver::new(&cnf);
         assert_eq!(s.solve(), SolveOutcome::Unsat);
         assert!(s.stats().restarts > 0);
     }

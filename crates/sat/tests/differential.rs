@@ -109,7 +109,6 @@ fn resumed_budgeted_solves_match_unbudgeted_verdicts() {
                 SolverConfig {
                     max_conflicts: Some(1),
                     proof_log: true,
-                    ..SolverConfig::default()
                 },
             );
             let mut resumes = 0;

@@ -4,16 +4,18 @@
 //! One [`Engine`] is shared by every connection (and by the in-process
 //! benchmarks); it is `Sync` — the registry is one shared, immutable
 //! table whose factories build per-request artifacts, the iso-cache
-//! locks internally, and game decisions are pure. Batches go through [`lph_runtime::par_map_threshold`], whose
-//! order guarantee *is* the protocol's ordering guarantee: response `i`
-//! of a batch answers request `i`, whatever the worker interleaving.
+//! locks internally, and game decisions are pure. Batches go through
+//! [`lph_runtime::par_map`], whose order guarantee *is* the protocol's
+//! ordering guarantee: response `i` of a batch answers request `i`,
+//! whatever the worker interleaving. A one-line batch runs on the
+//! calling thread without resolving the pool width.
 
 use lph_analysis::contract::{self, ArbiterArtifact, ReductionArtifact};
 use lph_analysis::json::{diagnostics_to_json, Json};
 use lph_analysis::{flow, sort_diagnostics};
 use lph_core::{decide_game_backend, GameLimits};
 use lph_graphs::IdAssignment;
-use lph_runtime::par_map_threshold;
+use lph_runtime::par_map;
 
 use crate::admission::Admission;
 use crate::cache::{bucket_key, IsoCache};
@@ -32,9 +34,6 @@ pub struct EngineConfig {
     /// Bound on cached iso-class representatives (`None` = unbounded);
     /// past it the least-recently-used class is evicted.
     pub cache_cap: Option<usize>,
-    /// Batches below this size are processed on the calling thread;
-    /// larger ones fan out over the runtime pool.
-    pub min_parallel: usize,
     /// Limits for one game decision.
     pub limits: GameLimits,
 }
@@ -45,7 +44,6 @@ impl Default for EngineConfig {
             admission: Admission::default(),
             cache: true,
             cache_cap: None,
-            min_parallel: 2,
             limits: GameLimits::default(),
         }
     }
@@ -92,7 +90,7 @@ impl Engine {
     pub fn process_batch(&self, lines: &[String]) -> Vec<String> {
         lph_trace::add("serve/batches", 1);
         lph_trace::observe("serve/batch_len", lines.len() as u64);
-        par_map_threshold(self.config.min_parallel, lines, |l| self.process_line(l))
+        par_map(lines, |l| self.process_line(l))
     }
 
     fn process_request(&self, req: &Request) -> String {
@@ -220,9 +218,6 @@ impl Engine {
                             ReductionArtifact::new((entry.factory)(), vec![graph.clone()]);
                         let mut diags = contract::check_reduction(&artifact);
                         if *deep {
-                            diags.extend(flow::reduction::check_domain(&artifact));
-                            diags.extend(flow::reduction::check_cluster_size(&artifact));
-                            diags.extend(flow::reduction::check_output_size(&artifact));
                             diags.extend(flow::reduction::check_reduction_flow(&artifact));
                         }
                         (format!("reduction:{}", entry.key), diags)
@@ -383,6 +378,23 @@ mod tests {
             r#"{"id":"b","kind":"lint","target":"arbiter:two_colorable_verifier","graph":{"family":"cycle","n":4}}"#,
         ));
         assert_eq!(arb.get("failures"), Some(&Json::Num(0.0)));
+    }
+
+    #[test]
+    fn deep_reduction_lint_reports_each_finding_once() {
+        // path(1) has an isolated node, outside the gadget domain: the
+        // flow tier's RED003 fires, alongside the contract tier's RED001.
+        let v = check(&engine().process_line(
+            r#"{"id":"a","kind":"lint","target":"reduction:all_selected_to_eulerian","graph":{"family":"path","n":1},"deep":true}"#,
+        ));
+        let diags = v.get("diagnostics").and_then(Json::as_arr).unwrap();
+        assert_eq!(v.get("failures"), Some(&Json::Num(diags.len() as f64)));
+        let code = |d: &Json| d.get("code").and_then(Json::as_str).unwrap().to_owned();
+        assert_eq!(diags.iter().filter(|d| code(d) == "RED003").count(), 1);
+        for d in diags {
+            let copies = diags.iter().filter(|other| *other == d).count();
+            assert_eq!(copies, 1, "{} reported {copies} times", code(d));
+        }
     }
 
     #[test]

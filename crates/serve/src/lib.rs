@@ -33,7 +33,7 @@
 //!   load-shedding policy.
 //!
 //! Batches of pipelined requests fan out over the [`lph_runtime`] pool
-//! ([`lph_runtime::par_map_threshold`]), whose order-preservation
+//! ([`lph_runtime::par_map`]), whose order-preservation
 //! guarantee is what makes the protocol's response ordering
 //! deterministic. Service counters land under the `serve/*` namespace of
 //! [`lph_trace`] when tracing is on.

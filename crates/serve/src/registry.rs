@@ -2,11 +2,14 @@
 //! by key, with the metadata admission control and the `list` query need.
 //!
 //! Keys are stable snake-case slugs (they appear verbatim in
-//! `PROTOCOL.md`). The registry mirrors the analyzer's built-in corpus
-//! ([`lph_analysis::corpus::builtin`]) — same artifacts, same claims — but
-//! holds *factories* instead of constructed artifacts, so each request
-//! builds its own arbiter. The table is built once per process, on first
-//! use, and every lookup borrows it.
+//! `PROTOCOL.md`). The registry is derived from the analyzer's artifact
+//! tables ([`lph_analysis::corpus::ARBITERS`] and
+//! [`lph_analysis::corpus::REDUCTIONS`]), where each shipped artifact's
+//! key, factory and claims are declared once; it holds *factories*
+//! instead of constructed artifacts, so each request builds its own
+//! arbiter. The arbiter table is built once per process, on first use,
+//! and every lookup borrows it; reductions are served from their table
+//! as is.
 //!
 //! For TM-backed arbiters construction runs the flow tier's machine
 //! analysis and records the certified Lemma 10 per-round step polynomial;
@@ -27,20 +30,12 @@
 
 use std::sync::OnceLock;
 
+use lph_analysis::corpus::{ArbiterDecl, ARBITERS, REDUCTIONS};
 use lph_analysis::flow::bytecode::{analyze_bytecode, verify_bytecode};
 use lph_analysis::flow::machine::analyze;
-use lph_core::{arbiters, Arbiter, ArbiterKind, Player};
+use lph_core::{Arbiter, ArbiterKind};
 use lph_graphs::PolyBound;
-use lph_logic::examples;
 use lph_machine::CompiledTm;
-use lph_reductions::{
-    cook_levin::LfoToSatGraph,
-    eulerian::AllSelectedToEulerian,
-    hamiltonian::{AllSelectedToHamiltonian, NotAllSelectedToHamiltonian},
-    sat_to_three_sat::SatGraphToThreeSatGraph,
-    three_col::ThreeSatGraphToThreeColorable,
-    LocalReduction,
-};
 
 /// A registered arbiter.
 pub struct ArbiterEntry {
@@ -48,14 +43,12 @@ pub struct ArbiterEntry {
     pub key: &'static str,
     /// Builds a fresh arbiter.
     pub factory: fn() -> Arbiter,
-    /// The documented hierarchy class (matches the corpus claim).
+    /// The claimed hierarchy class, as declared in the artifact table.
     pub claimed_class: &'static str,
-    /// The documented metered round count (matches the corpus claim).
+    /// The declared metered round count, as declared in the artifact table.
     pub declared_rounds: usize,
     /// Hierarchy level `ℓ` of the arbitrated game.
     pub level: usize,
-    /// `"Σ"` or `"Π"` by who moves first.
-    pub side: &'static str,
     /// Certified per-round step polynomial from the flow tier, for
     /// TM-backed arbiters whose analysis produced a bound.
     pub certified_steps: Option<PolyBound>,
@@ -64,22 +57,12 @@ pub struct ArbiterEntry {
     pub bytecode_certified_steps: Option<PolyBound>,
 }
 
-/// A registered reduction.
-pub struct ReductionEntry {
-    /// The wire key (`"all_selected_to_eulerian"` etc.).
-    pub key: &'static str,
-    /// Builds a fresh reduction.
-    pub factory: fn() -> Box<dyn LocalReduction + Send + Sync>,
-}
+/// A registered reduction: its artifact-table entry (wire key, factory,
+/// lint probes).
+pub type ReductionEntry = lph_analysis::corpus::ReductionDecl;
 
-fn entry(
-    key: &'static str,
-    factory: fn() -> Arbiter,
-    claimed_class: &'static str,
-    declared_rounds: usize,
-) -> ArbiterEntry {
-    let a = factory();
-    let spec = a.spec();
+fn entry(decl: &ArbiterDecl) -> ArbiterEntry {
+    let a = (decl.factory)();
     let (certified_steps, bytecode_certified_steps) = match a.kind() {
         ArbiterKind::Tm(tm) => {
             let flow = analyze(tm);
@@ -91,7 +74,8 @@ fn entry(
                 .collect();
             assert!(
                 findings.is_empty(),
-                "{key}: compiled artifact fails translation validation ({})",
+                "{}: compiled artifact fails translation validation ({})",
+                decl.key,
                 findings.join(", ")
             );
             (flow.steps, analyze_bytecode(&compiled).steps)
@@ -99,125 +83,31 @@ fn entry(
         ArbiterKind::Local(_) => (None, None),
     };
     ArbiterEntry {
-        key,
-        factory,
-        claimed_class,
-        declared_rounds,
-        level: spec.ell,
-        side: if spec.first == Player::Eve {
-            "Σ"
-        } else {
-            "Π"
-        },
+        key: decl.key,
+        factory: decl.factory,
+        claimed_class: decl.claimed_class,
+        declared_rounds: decl.declared_rounds,
+        level: a.spec().ell,
         certified_steps,
         bytecode_certified_steps,
     }
 }
 
-fn distance_to_unselected_2() -> Arbiter {
-    arbiters::distance_to_unselected_verifier(2)
-}
-
-fn lfo_all_selected() -> Box<dyn LocalReduction + Send + Sync> {
-    Box::new(LfoToSatGraph::new(examples::all_selected()))
-}
-
-fn lfo_three_colorable() -> Box<dyn LocalReduction + Send + Sync> {
-    Box::new(LfoToSatGraph::new(examples::three_colorable()))
-}
-
-/// Every arbiter the service answers `membership` and `lint` queries for.
-/// Claims are copied from the analyzer corpus and cross-checked by a test.
+/// Every arbiter the service answers `membership` and `lint` queries for,
+/// one per [`ARBITERS`] entry, in table order.
 ///
 /// # Panics
 ///
 /// On the first call, if a compiled artifact fails `VM001`–`VM004`.
 pub fn arbiter_entries() -> &'static [ArbiterEntry] {
     static ENTRIES: OnceLock<Vec<ArbiterEntry>> = OnceLock::new();
-    ENTRIES.get_or_init(build_arbiters)
+    ENTRIES.get_or_init(|| ARBITERS.iter().map(entry).collect())
 }
 
-fn build_arbiters() -> Vec<ArbiterEntry> {
-    vec![
-        entry(
-            "all_selected_decider",
-            arbiters::all_selected_decider,
-            "Σ0",
-            1,
-        ),
-        entry("eulerian_decider", arbiters::eulerian_decider, "Σ0", 1),
-        entry(
-            "three_colorable_verifier",
-            arbiters::three_colorable_verifier,
-            "Σ1",
-            2,
-        ),
-        entry(
-            "two_colorable_verifier",
-            arbiters::two_colorable_verifier,
-            "Σ1",
-            2,
-        ),
-        entry("sat_graph_verifier", arbiters::sat_graph_verifier, "Σ1", 2),
-        entry("all_selected_pi1", arbiters::all_selected_pi1, "Π1", 1),
-        entry(
-            "not_all_selected_sigma3",
-            arbiters::not_all_selected_sigma3,
-            "Σ3",
-            2,
-        ),
-        entry(
-            "distance_to_unselected_verifier",
-            distance_to_unselected_2,
-            "Σ1",
-            2,
-        ),
-        entry(
-            "pointer_to_unselected_verifier",
-            arbiters::pointer_to_unselected_verifier,
-            "Σ1",
-            2,
-        ),
-    ]
-}
-
-/// Every reduction the service answers `reduction` and `lint` queries for.
+/// Every reduction the service answers `reduction` and `lint` queries for:
+/// the [`REDUCTIONS`] table.
 pub fn reduction_entries() -> &'static [ReductionEntry] {
-    static ENTRIES: OnceLock<Vec<ReductionEntry>> = OnceLock::new();
-    ENTRIES.get_or_init(build_reductions)
-}
-
-fn build_reductions() -> Vec<ReductionEntry> {
-    vec![
-        ReductionEntry {
-            key: "all_selected_to_eulerian",
-            factory: || Box::new(AllSelectedToEulerian),
-        },
-        ReductionEntry {
-            key: "all_selected_to_hamiltonian",
-            factory: || Box::new(AllSelectedToHamiltonian),
-        },
-        ReductionEntry {
-            key: "not_all_selected_to_hamiltonian",
-            factory: || Box::new(NotAllSelectedToHamiltonian),
-        },
-        ReductionEntry {
-            key: "lfo_all_selected_to_sat_graph",
-            factory: lfo_all_selected,
-        },
-        ReductionEntry {
-            key: "lfo_three_colorable_to_sat_graph",
-            factory: lfo_three_colorable,
-        },
-        ReductionEntry {
-            key: "sat_graph_to_three_sat_graph",
-            factory: || Box::new(SatGraphToThreeSatGraph),
-        },
-        ReductionEntry {
-            key: "three_sat_graph_to_three_colorable",
-            factory: || Box::new(ThreeSatGraphToThreeColorable),
-        },
-    ]
+    REDUCTIONS
 }
 
 /// Looks up an arbiter entry by wire key.
@@ -243,23 +133,6 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), keys.len(), "duplicate registry key");
-    }
-
-    #[test]
-    fn claims_match_the_analyzer_corpus() {
-        let corpus = lph_analysis::builtin();
-        for e in arbiter_entries() {
-            let name = (e.factory)().name().to_owned();
-            let art = corpus
-                .arbiters
-                .iter()
-                .find(|a| a.arbiter.name() == name)
-                .unwrap_or_else(|| panic!("{name} not in the analyzer corpus"));
-            assert_eq!(e.claimed_class, art.claimed_class, "{name}");
-            assert_eq!(e.declared_rounds, art.declared_rounds, "{name}");
-        }
-        // Every corpus reduction is servable and vice versa.
-        assert_eq!(reduction_entries().len(), corpus.reductions.len());
     }
 
     #[test]
@@ -302,13 +175,5 @@ mod tests {
         assert!(std::ptr::eq(arbiter(), arbiter()));
         let reduction = || find_reduction("all_selected_to_eulerian").unwrap();
         assert!(std::ptr::eq(reduction(), reduction()));
-    }
-
-    #[test]
-    fn derived_level_and_side_match_claims() {
-        for e in arbiter_entries() {
-            let claim = format!("{}{}", e.side, e.level);
-            assert_eq!(claim, e.claimed_class, "{}", e.key);
-        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! USAGE: lph-serve [--stdio | --listen ADDR] [--max-cost N] [--max-nodes N]
-//!                  [--max-batch N] [--max-line-bytes N] [--min-parallel N]
-//!                  [--threads N] [--no-cache] [--cache-cap N] [--trace]
+//!                  [--max-batch N] [--max-line-bytes N] [--threads N]
+//!                  [--no-cache] [--cache-cap N] [--trace]
 //! ```
 //!
 //! Speaks the newline-delimited `lph-serve/1` protocol (see
@@ -39,8 +39,8 @@ use lph_serve::{serve_stdio, serve_tcp, Engine, EngineConfig, ServerConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "USAGE: lph-serve [--stdio | --listen ADDR] [--max-cost N] [--max-nodes N] \
-         [--max-batch N] [--max-line-bytes N] [--min-parallel N] [--threads N] \
-         [--no-cache] [--cache-cap N] [--trace]"
+         [--max-batch N] [--max-line-bytes N] [--threads N] [--no-cache] \
+         [--cache-cap N] [--trace]"
     );
     ExitCode::from(2)
 }
@@ -82,9 +82,6 @@ fn parse_args() -> Result<Options, ()> {
             "--max-batch" => opts.server.max_batch = parse_num(&value("--max-batch")?)?,
             "--max-line-bytes" => {
                 opts.server.max_line_bytes = parse_num(&value("--max-line-bytes")?)?;
-            }
-            "--min-parallel" => {
-                opts.engine.min_parallel = parse_num(&value("--min-parallel")?)?;
             }
             "--threads" => opts.threads = Some(parse_num(&value("--threads")?)?),
             "--no-cache" => opts.engine.cache = false,
