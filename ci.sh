@@ -142,9 +142,10 @@ stage_bench_smoke() {
   # serve_throughput carries the serving-layer seq/par × cache-on/off
   # quadrant the ROADMAP's batching and memoization claims rest on.
   # bytecode_verify prices the translation-validation tier compiled
-  # admission trusts.
+  # admission trusts. sat_games is the only microbench of the CDCL
+  # backend's locality-table build.
   local series
-  for series in '"group":"sat_proof"' '"group":"machine_compiled"' '"group":"logic_compiled"' '"group":"serve_throughput"' '"group":"bytecode_verify"'; do
+  for series in '"group":"sat_proof"' '"group":"machine_compiled"' '"group":"logic_compiled"' '"group":"serve_throughput"' '"group":"bytecode_verify"' '"group":"sat_games"'; do
     if ! grep -q "$series" BENCH_results.json; then
       echo "bench-smoke: $series series missing from BENCH_results.json" >&2
       return 1

@@ -2,8 +2,8 @@ use std::sync::OnceLock;
 
 use lph_graphs::{CertificateList, IdAssignment, LabeledGraph};
 use lph_machine::{
-    run_local, run_tm, run_tm_compiled, CompiledTm, DistributedTm, ExecLimits, LocalAlgorithm,
-    LocalOutcome, MachineError, TmBackend,
+    run_local_routed, run_tm_compiled_routed, run_tm_routed, CompiledTm, DistributedTm, ExecLimits,
+    LocalAlgorithm, LocalOutcome, MachineError, Routing, TmBackend,
 };
 
 use crate::game::GameSpec;
@@ -28,23 +28,24 @@ pub trait Arbitrating {
         limits: &ExecLimits,
     ) -> Result<bool, MachineError>;
 
-    /// The full per-node outcome of one execution, if this implementation
-    /// can report one. The CNF game backend (`crate::backend`) needs
-    /// per-node verdicts and round counts to build local acceptance
-    /// tables; implementations that only expose the global conjunction
-    /// keep the default `Ok(None)` and are decided exhaustively.
+    /// The full per-node outcome of one execution on a prepared
+    /// [`Routing`] of `(G, id)`, if this implementation can report one.
+    /// The CNF game backend (`crate::backend`) needs per-node verdicts
+    /// and round counts to build local acceptance tables, and replays each
+    /// ball under many certificate lists on one routing; implementations
+    /// that only expose the global conjunction keep the default `Ok(None)`
+    /// and are decided exhaustively.
     ///
     /// # Errors
     ///
     /// Propagates execution errors.
     fn outcome(
         &self,
-        g: &LabeledGraph,
-        id: &IdAssignment,
+        routing: &Routing<'_>,
         certs: &CertificateList,
         limits: &ExecLimits,
     ) -> Result<Option<LocalOutcome>, MachineError> {
-        let _ = (g, id, certs, limits);
+        let _ = (routing, certs, limits);
         Ok(None)
     }
 }
@@ -149,14 +150,23 @@ impl Arbiter {
         certs: &CertificateList,
         limits: &ExecLimits,
     ) -> Result<LocalOutcome, MachineError> {
+        self.run_routed(&Routing::new(g, id)?, certs, limits)
+    }
+
+    fn run_routed(
+        &self,
+        routing: &Routing<'_>,
+        certs: &CertificateList,
+        limits: &ExecLimits,
+    ) -> Result<LocalOutcome, MachineError> {
         match &self.kind {
-            ArbiterKind::Local(alg) => run_local(alg.as_ref(), g, id, certs, limits),
+            ArbiterKind::Local(alg) => run_local_routed(alg.as_ref(), routing, certs, limits),
             ArbiterKind::Tm(tm) => {
                 let out = match self.exec_backend {
-                    TmBackend::Interpreted => run_tm(tm, g, id, certs, limits)?,
+                    TmBackend::Interpreted => run_tm_routed(tm, routing, certs, limits)?,
                     TmBackend::Compiled | TmBackend::Auto => {
                         let ct = self.compiled.get_or_init(|| CompiledTm::compile(tm));
-                        run_tm_compiled(ct, g, id, certs, limits)?
+                        run_tm_compiled_routed(ct, routing, certs, limits)?
                     }
                 };
                 Ok(LocalOutcome {
@@ -203,12 +213,11 @@ impl Arbitrating for Arbiter {
 
     fn outcome(
         &self,
-        g: &LabeledGraph,
-        id: &IdAssignment,
+        routing: &Routing<'_>,
         certs: &CertificateList,
         limits: &ExecLimits,
     ) -> Result<Option<LocalOutcome>, MachineError> {
-        self.run(g, id, certs, limits).map(Some)
+        self.run_routed(routing, certs, limits).map(Some)
     }
 }
 

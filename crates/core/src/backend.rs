@@ -17,7 +17,11 @@
 //! all-ones certificates) — a verdict that differs between the paddings
 //! falsifies the locality assumption and also bumps `R`. Arbiters that
 //! never stabilize are reported as [`GameError::BackendUnsupported`]
-//! rather than silently mis-encoded.
+//! rather than silently mis-encoded. Everything but the inner ball's
+//! certificates is fixed per radius, so the ball's message routing
+//! ([`lph_machine::Routing`]) and both boundary paddings are prepared
+//! once per radius and every row only rewrites the inner certificates;
+//! every row still runs both paddings.
 //!
 //! The per-node truth tables then compile to CNF over choice variables
 //! (each node's certificate choice is a binary-coded index into its
@@ -51,7 +55,7 @@ use lph_graphs::{
     enumerate, BitString, CertificateAssignment, CertificateList, IdAssignment, LabeledGraph,
     NodeId,
 };
-use lph_machine::LocalOutcome;
+use lph_machine::{LocalOutcome, MachineError, Routing};
 use lph_sat::{check_refutation, Cnf, Lit, SolveOutcome, Solver, SolverConfig};
 
 use crate::arbiter::Arbitrating;
@@ -184,9 +188,11 @@ pub fn decide_game_backend(
 
 /// One node's local acceptance table: `verdicts[rank]` is the node's
 /// verdict when the nodes of `support` hold the certificate options coded
-/// by `rank` (mixed-radix, first support node most significant).
+/// by `rank` (mixed-radix over `radix`, the support nodes' option counts,
+/// first support node most significant).
 struct NodeTable {
     support: Vec<NodeId>,
+    radix: Vec<usize>,
     verdicts: Vec<bool>,
 }
 
@@ -206,24 +212,26 @@ fn ceil_log2(m: usize) -> usize {
     }
 }
 
-/// Mixed-radix decode of `rank` into one digit per entry of `ms` (first
-/// entry most significant) — the shared convention between table building
-/// and clause emission.
-fn combo_digits(rank: usize, ms: &[usize]) -> Vec<usize> {
-    let mut digits = vec![0; ms.len()];
+/// Mixed-radix decode of `rank` into `digits`, one digit per entry of
+/// `ms` (first entry most significant) — the shared convention between
+/// table building and clause emission.
+fn combo_digits(rank: usize, ms: &[usize], digits: &mut Vec<usize>) {
+    digits.clear();
+    digits.resize(ms.len(), 0);
     let mut code = rank;
     for i in (0..ms.len()).rev() {
         digits[i] = code % ms[i];
         code /= ms[i];
     }
-    digits
 }
 
+/// One counted, budget-checked replay on the ball's prepared routing. A
+/// routing error surfaces here, after the replay is counted, as it would
+/// from an engine that prepares its own routing.
 fn run_outcome(
     arbiter: &dyn Arbitrating,
-    g: &LabeledGraph,
-    id: &IdAssignment,
-    certs: Vec<BitString>,
+    routing: &Result<Routing<'_>, MachineError>,
+    certs: &CertificateList,
     limits: &GameLimits,
     runs: &mut u64,
 ) -> Result<LocalOutcome, GameError> {
@@ -233,10 +241,11 @@ fn run_outcome(
             limit: limits.max_runs,
         });
     }
-    let assignment = CertificateAssignment::from_vec(g, certs).expect("one certificate per node");
-    let list = CertificateList::new().extended(assignment);
+    let routing = routing
+        .as_ref()
+        .map_err(|e| GameError::Machine(e.clone()))?;
     arbiter
-        .outcome(g, id, &list, &limits.exec)?
+        .outcome(routing, certs, &limits.exec)?
         .ok_or_else(|| GameError::BackendUnsupported {
             reason: "arbiter does not report per-node outcomes".into(),
         })
@@ -256,6 +265,7 @@ fn build_table(
     runs: &mut u64,
 ) -> Result<NodeTable, GameError> {
     let mut radius = 1;
+    let mut digits = Vec::new();
     'radius: loop {
         if radius > MAX_RADIUS {
             return Err(GameError::BackendUnsupported {
@@ -299,16 +309,28 @@ fn build_table(
             ball.members.iter().map(|&w| id.id(w).clone()).collect(),
         )
         .expect("one identifier per ball member");
+        // Everything but the inner ball's certificates is fixed for the
+        // radius: the routing, and the two paddings of the boundary ring
+        // (A: empty, B: all-ones at budget). Each row only rewrites the
+        // inner certificates of both paddings.
+        let routing = Routing::new(&ball.graph, &sub_id);
+        let mut pad_a =
+            CertificateList::from_assignments(vec![CertificateAssignment::empty(&ball.graph)]);
+        let mut pad_b = pad_a.clone();
+        for &i in &ring {
+            let ones = vec![true; budgets[ball.members[i].0]];
+            pad_b.set_cert(0, NodeId(i), BitString::from_bools(&ones));
+        }
 
         let mut verdicts = Vec::with_capacity(combos);
         for rank in 0..combos {
-            let digits = combo_digits(rank, &ms);
-            let mut certs = vec![BitString::new(); ball.members.len()];
-            for (d, &i) in digits.iter().zip(&inner) {
-                certs[i] = options[ball.members[i].0][*d].clone();
+            combo_digits(rank, &ms, &mut digits);
+            for (&d, &i) in digits.iter().zip(&inner) {
+                let cert = &options[ball.members[i].0][d];
+                pad_a.set_cert(0, NodeId(i), cert.clone());
+                pad_b.set_cert(0, NodeId(i), cert.clone());
             }
-            // Padding A: boundary-ring certificates empty.
-            let out_a = run_outcome(arbiter, &ball.graph, &sub_id, certs.clone(), limits, runs)?;
+            let out_a = run_outcome(arbiter, &routing, &pad_a, limits, runs)?;
             let verdict = out_a.verdicts[ball.center_local.0];
             if ring.is_empty() {
                 // The ball is the whole (connected) graph: the replay IS
@@ -320,13 +342,7 @@ fn build_table(
                 radius = out_a.rounds;
                 continue 'radius;
             }
-            // Padding B: boundary-ring certificates all-ones at budget.
-            let mut certs_b = certs;
-            for &i in &ring {
-                let b = budgets[ball.members[i].0];
-                certs_b[i] = BitString::from_bits01(&"1".repeat(b));
-            }
-            let out_b = run_outcome(arbiter, &ball.graph, &sub_id, certs_b, limits, runs)?;
+            let out_b = run_outcome(arbiter, &routing, &pad_b, limits, runs)?;
             if out_b.rounds > radius {
                 radius = out_b.rounds;
                 continue 'radius;
@@ -340,6 +356,7 @@ fn build_table(
         }
         return Ok(NodeTable {
             support: inner.iter().map(|&i| ball.members[i]).collect(),
+            radix: ms,
             verdicts,
         });
     }
@@ -368,16 +385,20 @@ fn encode_choices(options: &[Vec<BitString>]) -> Encoding {
 }
 
 /// The clause asserting "the support's choices differ from this table
-/// row": one literal per code bit, with the opposite polarity.
-fn row_blocking_lits(
+/// row" (one literal per code bit, with the opposite polarity), after an
+/// optional leading `guard` literal. `digits` is scratch space for the
+/// decoded row.
+fn row_blocking_clause(
+    guard: Option<Lit>,
     table: &NodeTable,
     rank: usize,
-    options: &[Vec<BitString>],
     enc: &Encoding,
+    digits: &mut Vec<usize>,
 ) -> Vec<Lit> {
-    let ms: Vec<usize> = table.support.iter().map(|u| options[u.0].len()).collect();
-    let digits = combo_digits(rank, &ms);
-    let mut clause = Vec::new();
+    combo_digits(rank, &table.radix, digits);
+    let width: usize = table.support.iter().map(|u| enc.bits[u.0]).sum();
+    let mut clause = Vec::with_capacity(usize::from(guard.is_some()) + width);
+    clause.extend(guard);
     for (digit, &u) in digits.iter().zip(&table.support) {
         for j in 0..enc.bits[u.0] {
             let bit = (digit >> j) & 1 == 1;
@@ -457,13 +478,19 @@ fn decide_game_cdcl(
     };
 
     let mut enc = encode_choices(&options);
+    let mut digits = Vec::new();
     match spec.first {
         Player::Eve => {
             for table in &tables {
                 for (rank, &ok) in table.verdicts.iter().enumerate() {
                     if !ok {
-                        enc.cnf
-                            .add_clause(row_blocking_lits(table, rank, &options, &enc));
+                        enc.cnf.add_clause(row_blocking_clause(
+                            None,
+                            table,
+                            rank,
+                            &enc,
+                            &mut digits,
+                        ));
                     }
                 }
             }
@@ -474,9 +501,14 @@ fn decide_game_cdcl(
             for (table, &s) in tables.iter().zip(&selectors) {
                 for (rank, &ok) in table.verdicts.iter().enumerate() {
                     if ok {
-                        let mut clause = vec![Lit::neg(s)];
-                        clause.extend(row_blocking_lits(table, rank, &options, &enc));
-                        enc.cnf.add_clause(clause);
+                        let guard = Some(Lit::neg(s));
+                        enc.cnf.add_clause(row_blocking_clause(
+                            guard,
+                            table,
+                            rank,
+                            &enc,
+                            &mut digits,
+                        ));
                     }
                 }
             }
@@ -630,6 +662,61 @@ mod tests {
         let res = decide_game_backend(&arb, &g, &id, &limits, GameBackend::Cdcl).unwrap();
         assert!(res.eve_wins, "even cycles are 3-colorable");
         assert!(res.winning_first_move.is_some());
+    }
+
+    #[test]
+    fn every_row_replays_both_paddings_after_the_radius_probe() {
+        // Per node: one radius-1 replay that outruns its radius, then both
+        // paddings of every radius-2 row — or one run per row once the
+        // ball is the whole graph (K4). A SAT verdict adds one full-graph
+        // witness replay.
+        let cases = [
+            (
+                arbiters::three_colorable_verifier(),
+                generators::cycle(12),
+                12 * (1 + 2 * 343) + 1,
+            ),
+            (
+                arbiters::two_colorable_verifier(),
+                generators::cycle(15),
+                15 * (1 + 2 * 27),
+            ),
+            (
+                arbiters::three_colorable_verifier(),
+                generators::complete(4),
+                4 * (1 + 2401),
+            ),
+        ];
+        for (arb, g, runs) in cases {
+            let id = IdAssignment::global(&g);
+            let res = decide_game_backend(&arb, &g, &id, &GameLimits::default(), GameBackend::Cdcl)
+                .unwrap();
+            assert_eq!(res.runs, runs, "replay count on {g:?}");
+        }
+    }
+
+    #[test]
+    fn cdcl_reports_ids_the_machine_rejects() {
+        // `r_id = 0` admits any identifiers, but the LOCAL engine needs
+        // them 1-locally unique: the first table replay fails.
+        use crate::arbiter::Arbiter;
+        use crate::game::GameSpec;
+        use lph_graphs::PolyBound;
+        use lph_machine::{MachineError, NodeCtx, NodeInput, NodeProgram, RoundAction};
+
+        fn accept_all(_input: NodeInput) -> Box<dyn NodeProgram> {
+            Box::new(|ctx: &mut NodeCtx, _r: usize, _i: &[BitString]| {
+                ctx.charge(1);
+                RoundAction::accept()
+            })
+        }
+        let spec = GameSpec::sigma(1, 0, 1, PolyBound::linear(0, 1));
+        let arb = Arbiter::from_local("accept-all", spec, accept_all);
+        let g = generators::path(2);
+        let id = IdAssignment::from_vec(&g, vec![BitString::new(), BitString::new()]).unwrap();
+        let err = decide_game_backend(&arb, &g, &id, &GameLimits::default(), GameBackend::Cdcl)
+            .unwrap_err();
+        assert_eq!(err, GameError::Machine(MachineError::IdsNotLocallyUnique));
     }
 
     #[test]

@@ -132,6 +132,15 @@ impl CertificateList {
         self.lists.push(k);
     }
 
+    /// Replaces node `u`'s certificate in move `i`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is no move `i` or no node `u`.
+    pub fn set_cert(&mut self, i: usize, u: NodeId, cert: BitString) {
+        self.lists[i].certs[u.0] = cert;
+    }
+
     /// Returns a new list extended by one move, leaving `self` untouched.
     pub fn extended(&self, k: CertificateAssignment) -> Self {
         let mut lists = self.lists.clone();

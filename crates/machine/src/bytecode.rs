@@ -21,11 +21,11 @@
 //! `crates/machine/tests/bytecode_differential.rs` pin the equivalence over
 //! the corpus machines and seeded random tables.
 
-use lph_graphs::{BitString, CertificateList, IdAssignment, LabeledGraph, NodeId};
+use lph_graphs::{BitString, CertificateList, IdAssignment, LabeledGraph};
 
 use crate::metrics::{ExecMetrics, RoundStats};
 use crate::tm::{DistributedTm, Move, StateId, Sym, Transition};
-use crate::{ExecLimits, MachineError, TmOutcome};
+use crate::{ExecLimits, MachineError, Routing, TmOutcome};
 
 /// Which engine executes a distributed Turing machine.
 ///
@@ -517,7 +517,6 @@ struct VmNode {
 /// # Errors
 ///
 /// Exactly those of [`crate::run_tm`] on the same inputs.
-#[allow(clippy::too_many_lines)]
 pub fn run_tm_compiled(
     ct: &CompiledTm,
     g: &LabeledGraph,
@@ -525,27 +524,25 @@ pub fn run_tm_compiled(
     certs: &CertificateList,
     limits: &ExecLimits,
 ) -> Result<TmOutcome, MachineError> {
-    let _span = lph_trace::span("machine/run_tm_compiled");
-    if !id.is_locally_unique(g, 1) {
-        return Err(MachineError::IdsNotLocallyUnique);
-    }
-    let n = g.node_count();
-    let sorted_nbrs: Vec<Vec<NodeId>> = g.nodes().map(|u| id.sorted_neighbors(g, u)).collect();
-    let inbox_slot: Vec<Vec<usize>> = g
-        .nodes()
-        .map(|u| {
-            sorted_nbrs[u.0]
-                .iter()
-                .map(|&v| {
-                    sorted_nbrs[v.0]
-                        .iter()
-                        .position(|&w| w == u)
-                        .expect("neighbor lists are symmetric")
-                })
-                .collect()
-        })
-        .collect();
+    run_tm_compiled_routed(ct, &Routing::new(g, id)?, certs, limits)
+}
 
+/// [`run_tm_compiled`] on a prepared [`Routing`], for callers that replay
+/// one `(G, id)` under many certificate lists.
+///
+/// # Errors
+///
+/// Exactly those of [`crate::run_tm_routed`] on the same inputs.
+#[allow(clippy::too_many_lines)]
+pub fn run_tm_compiled_routed(
+    ct: &CompiledTm,
+    routing: &Routing<'_>,
+    certs: &CertificateList,
+    limits: &ExecLimits,
+) -> Result<TmOutcome, MachineError> {
+    let _span = lph_trace::span("machine/run_tm_compiled");
+    let (g, id) = (routing.graph(), routing.ids());
+    let n = g.node_count();
     let mut nodes: Vec<VmNode> = g
         .nodes()
         .map(|u| {
@@ -583,7 +580,7 @@ pub fn run_tm_compiled(
             let cells = &mut rcv_bufs[u.0];
             cells.clear();
             cells.push(LEFT_END);
-            for (&v, &slot) in sorted_nbrs[u.0].iter().zip(&inbox_slot[u.0]) {
+            for &(v, slot) in routing.ports(u) {
                 cells.extend_from_slice(&nodes[v.0].outbox[slot]);
                 cells.push(SEP);
             }
@@ -703,7 +700,7 @@ pub fn run_tm_compiled(
                 .collect();
             let verdicts: Vec<bool> = result_labels
                 .iter()
-                .map(|l| *l == BitString::from_bits01("1"))
+                .map(|l| l.as_bools() == [true])
                 .collect();
             let accepted = verdicts.iter().all(|&v| v);
             if lph_trace::enabled() {

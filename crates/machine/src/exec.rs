@@ -1,9 +1,9 @@
-use lph_graphs::{BitString, CertificateList, IdAssignment, LabeledGraph, NodeId};
+use lph_graphs::{BitString, CertificateList, IdAssignment, LabeledGraph};
 
 use crate::metrics::{ExecMetrics, RoundStats};
 use crate::tape::{bits_to_syms, content_bits, split_messages, Tape};
 use crate::tm::{DistributedTm, StateId, Sym};
-use crate::MachineError;
+use crate::{MachineError, Routing};
 
 /// Safety limits for executions. The paper's machines always terminate; the
 /// limits turn authoring bugs into errors instead of hangs.
@@ -70,30 +70,25 @@ pub fn run_tm(
     certs: &CertificateList,
     limits: &ExecLimits,
 ) -> Result<TmOutcome, MachineError> {
-    let _span = lph_trace::span("machine/run_tm");
-    if !id.is_locally_unique(g, 1) {
-        return Err(MachineError::IdsNotLocallyUnique);
-    }
-    let n = g.node_count();
-    // Neighbors in ascending identifier order, fixed for the execution.
-    let sorted_nbrs: Vec<Vec<NodeId>> = g.nodes().map(|u| id.sorted_neighbors(g, u)).collect();
-    // inbox_slot[u][j] = position of u in the sorted neighbor list of its
-    // j-th sorted neighbor (which message of that neighbor is addressed to u).
-    let inbox_slot: Vec<Vec<usize>> = g
-        .nodes()
-        .map(|u| {
-            sorted_nbrs[u.0]
-                .iter()
-                .map(|&v| {
-                    sorted_nbrs[v.0]
-                        .iter()
-                        .position(|&w| w == u)
-                        .expect("neighbor lists are symmetric")
-                })
-                .collect()
-        })
-        .collect();
+    run_tm_routed(tm, &Routing::new(g, id)?, certs, limits)
+}
 
+/// [`run_tm`] on a prepared [`Routing`], for callers that replay one
+/// `(G, id)` under many certificate lists.
+///
+/// # Errors
+///
+/// Those of [`run_tm`] other than [`MachineError::IdsNotLocallyUnique`],
+/// which [`Routing::new`] reports.
+pub fn run_tm_routed(
+    tm: &DistributedTm,
+    routing: &Routing<'_>,
+    certs: &CertificateList,
+    limits: &ExecLimits,
+) -> Result<TmOutcome, MachineError> {
+    let _span = lph_trace::span("machine/run_tm");
+    let (g, id) = (routing.graph(), routing.ids());
+    let n = g.node_count();
     let mut nodes: Vec<NodeState> = g
         .nodes()
         .map(|u| {
@@ -124,10 +119,10 @@ pub fn run_tm(
         let inboxes: Vec<Vec<BitString>> = g
             .nodes()
             .map(|u| {
-                sorted_nbrs[u.0]
+                routing
+                    .ports(u)
                     .iter()
-                    .zip(&inbox_slot[u.0])
-                    .map(|(&v, &slot)| nodes[v.0].outbox[slot].clone())
+                    .map(|&(v, slot)| nodes[v.0].outbox[slot].clone())
                     .collect()
             })
             .collect();
@@ -212,7 +207,7 @@ pub fn run_tm(
                 .collect();
             let verdicts: Vec<bool> = result_labels
                 .iter()
-                .map(|l| *l == BitString::from_bits01("1"))
+                .map(|l| l.as_bools() == [true])
                 .collect();
             let accepted = verdicts.iter().all(|&v| v);
             if lph_trace::enabled() {
@@ -300,17 +295,31 @@ mod tests {
 
     #[test]
     fn non_locally_unique_ids_are_rejected() {
+        // Every engine refuses them through the shared routing.
+        use crate::{run_local, run_tm_compiled, CompiledTm, NodeCtx, NodeInput, NodeProgram};
+        use crate::{RoundAction, Routing};
+        fn accept_all(_input: NodeInput) -> Box<dyn NodeProgram> {
+            Box::new(|ctx: &mut NodeCtx, _round: usize, _inbox: &[BitString]| {
+                ctx.charge(1);
+                RoundAction::accept()
+            })
+        }
         let g = generators::path(2);
         let id = IdAssignment::from_vec(&g, vec![BitString::new(), BitString::new()]).unwrap();
-        let err = run_tm(
-            &halt_machine(),
-            &g,
-            &id,
-            &CertificateList::new(),
-            &ExecLimits::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, MachineError::IdsNotLocallyUnique);
+        let (certs, limits) = (CertificateList::new(), ExecLimits::default());
+        let err = MachineError::IdsNotLocallyUnique;
+        assert_eq!(Routing::new(&g, &id).unwrap_err(), err);
+        let tm = halt_machine();
+        assert_eq!(run_tm(&tm, &g, &id, &certs, &limits).unwrap_err(), err);
+        let ct = CompiledTm::compile(&tm);
+        assert_eq!(
+            run_tm_compiled(&ct, &g, &id, &certs, &limits).unwrap_err(),
+            err
+        );
+        assert_eq!(
+            run_local(&accept_all, &g, &id, &certs, &limits).unwrap_err(),
+            err
+        );
     }
 
     #[test]

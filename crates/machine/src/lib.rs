@@ -17,7 +17,10 @@
 //!   documented in `DESIGN.md`.
 //!
 //! The execution engines expose the per-node, per-round step and space
-//! metrics needed to reproduce the polynomial bounds of Lemma 10.
+//! metrics needed to reproduce the polynomial bounds of Lemma 10. All
+//! engines deliver messages through one [`Routing`] of `(G, id)`; the
+//! `*_routed` forms take a prepared one, for callers that replay one graph
+//! under many certificate lists.
 //!
 //! # Example
 //!
@@ -41,15 +44,20 @@ mod exec;
 mod local;
 pub mod machines;
 mod metrics;
+mod routing;
 mod tape;
 mod tm;
 
-pub use bytecode::{run_tm_backend, run_tm_compiled, CompiledTm, OpView, TmBackend};
+pub use bytecode::{
+    run_tm_backend, run_tm_compiled, run_tm_compiled_routed, CompiledTm, OpView, TmBackend,
+};
 pub use error::MachineError;
-pub use exec::{run_tm, ExecLimits, TmOutcome};
+pub use exec::{run_tm, run_tm_routed, ExecLimits, TmOutcome};
 pub use local::{
-    run_local, LocalAlgorithm, LocalOutcome, NodeCtx, NodeInput, NodeProgram, RoundAction,
+    run_local, run_local_routed, LocalAlgorithm, LocalOutcome, NodeCtx, NodeInput, NodeProgram,
+    RoundAction,
 };
 pub use metrics::{ExecMetrics, RoundStats};
+pub use routing::Routing;
 pub use tape::{content_bits, split_messages, Tape};
 pub use tm::{DistributedTm, Move, Pat, StateId, Sym, TmBuilder, Transition, WriteOp};

@@ -1,7 +1,7 @@
-use lph_graphs::{BitString, CertificateList, IdAssignment, LabeledGraph, NodeId};
+use lph_graphs::{BitString, CertificateList, IdAssignment, LabeledGraph};
 
 use crate::metrics::{ExecMetrics, RoundStats};
-use crate::{ExecLimits, MachineError};
+use crate::{ExecLimits, MachineError, Routing};
 
 /// The information a node receives at spawn time: exactly the initial
 /// internal-tape content of a distributed Turing machine
@@ -149,26 +149,24 @@ pub fn run_local(
     certs: &CertificateList,
     limits: &ExecLimits,
 ) -> Result<LocalOutcome, MachineError> {
-    if !id.is_locally_unique(g, 1) {
-        return Err(MachineError::IdsNotLocallyUnique);
-    }
-    let n = g.node_count();
-    let sorted_nbrs: Vec<Vec<NodeId>> = g.nodes().map(|u| id.sorted_neighbors(g, u)).collect();
-    let inbox_slot: Vec<Vec<usize>> = g
-        .nodes()
-        .map(|u| {
-            sorted_nbrs[u.0]
-                .iter()
-                .map(|&v| {
-                    sorted_nbrs[v.0]
-                        .iter()
-                        .position(|&w| w == u)
-                        .expect("neighbor lists are symmetric")
-                })
-                .collect()
-        })
-        .collect();
+    run_local_routed(alg, &Routing::new(g, id)?, certs, limits)
+}
 
+/// [`run_local`] on a prepared [`Routing`], for callers that replay one
+/// `(G, id)` under many certificate lists.
+///
+/// # Errors
+///
+/// [`MachineError::StepLimitExceeded`] or
+/// [`MachineError::RoundLimitExceeded`], as for [`run_local`].
+pub fn run_local_routed(
+    alg: &dyn LocalAlgorithm,
+    routing: &Routing<'_>,
+    certs: &CertificateList,
+    limits: &ExecLimits,
+) -> Result<LocalOutcome, MachineError> {
+    let (g, id) = (routing.graph(), routing.ids());
+    let n = g.node_count();
     let mut programs: Vec<Box<dyn NodeProgram>> = g
         .nodes()
         .map(|u| {
@@ -191,10 +189,10 @@ pub fn run_local(
         let inboxes: Vec<Vec<BitString>> = g
             .nodes()
             .map(|u| {
-                sorted_nbrs[u.0]
+                routing
+                    .ports(u)
                     .iter()
-                    .zip(&inbox_slot[u.0])
-                    .map(|(&v, &slot)| outboxes[v.0][slot].clone())
+                    .map(|&(v, slot)| outboxes[v.0][slot].clone())
                     .collect()
             })
             .collect();
@@ -243,10 +241,7 @@ pub fn run_local(
                 .into_iter()
                 .map(|o| o.expect("all halted"))
                 .collect();
-            let verdicts: Vec<bool> = outputs
-                .iter()
-                .map(|l| *l == BitString::from_bits01("1"))
-                .collect();
+            let verdicts: Vec<bool> = outputs.iter().map(|l| l.as_bools() == [true]).collect();
             let accepted = verdicts.iter().all(|&v| v);
             return Ok(LocalOutcome {
                 rounds: round,
